@@ -30,24 +30,22 @@ std::string writeInputFile(NodeId node, int records, std::uint64_t seed) {
   // Two clock pairs make the file merge-adjustable (identity-ish).
   ByteWriter cs0;
   cs0.u64(0);
-  w.addRecord(encodeRecordBody(
-                  makeIntervalType(kClockSyncState, Bebits::kComplete), 0, 0,
-                  0, node, 0, cs0.view())
-                  .view());
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                   0, 0, 0, node, 0, cs0.view());
+  w.addRecord(body.view());
   for (int i = 0; i < records; ++i) {
     // Step >= max duration keeps the required end-time ordering.
     t += 2000 + rng.below(4000);
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete), t,
-                    rng.below(2000), 0, node, 0)
-                    .view());
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     t, rng.below(2000), 0, node, 0);
+    w.addRecord(body.view());
   }
   ByteWriter cs1;
   cs1.u64(t + 5000);
-  w.addRecord(encodeRecordBody(
-                  makeIntervalType(kClockSyncState, Bebits::kComplete),
-                  t + 5000, 0, 0, node, 0, cs1.view())
-                  .view());
+  encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                   t + 5000, 0, 0, node, 0, cs1.view());
+  w.addRecord(body.view());
   w.close();
   return path;
 }

@@ -54,10 +54,10 @@ std::string scratchSlog(int index) {
     const Tick start = static_cast<Tick>(i) * kMs;
     ByteWriter extra;
     extra.u64(start);
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         start, kMs / 2, 0, (i + index) % 2, 0, extra.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     start, kMs / 2, 0, (i + index) % 2, 0, extra.view());
+    w.addRecord(RecordView::parse(body.view()));
   }
   w.close();
   return path;

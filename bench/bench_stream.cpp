@@ -47,9 +47,9 @@ std::vector<std::vector<std::uint8_t>> runningRecords(NodeId node, int n) {
   bodies.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Tick t = static_cast<Tick>(i) * 2 * kMs;
-    const ByteWriter body =
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         t, kMs, 0, node, 0);
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     t, kMs, 0, node, 0);
     bodies.emplace_back(body.view().begin(), body.view().end());
   }
   return bodies;

@@ -79,10 +79,10 @@ void StreamingConverter::feed(const RawEvent& ev) {
       // A point event: a zero-duration complete interval. It does not
       // interrupt the thread's current state piece (the stall shows up
       // as the descheduling that follows).
-      const ByteWriter body = encodeRecordBody(
-          makeIntervalType(EventType::kPageFault, Bebits::kComplete),
+      encodeRecordBody(
+          body_, makeIntervalType(EventType::kPageFault, Bebits::kComplete),
           ev.localTs, 0, ev.cpu, node_, ev.ltid, ev.payload);
-      emit(body.view());
+      emit(body_.view());
       return;
     }
     default:
@@ -121,7 +121,7 @@ void StreamingConverter::handleDispatch(const RawEvent& ev) {
     ThreadState& ts = threadState(newTid);
     if (ts.stack.empty()) {
       // First dispatch of this thread: its Running default state begins.
-      ts.stack.push_back(StateInstance{});
+      ts.stack.push().reset(kRunningState);
     }
     openPiece(ts, ev.localTs, ev.cpu);
   }
@@ -135,7 +135,7 @@ void StreamingConverter::openPiece(ThreadState& ts, Tick t, CpuId cpu) {
 
 void StreamingConverter::closePiece(LogicalThreadId ltid, ThreadState& ts,
                                     Tick t, bool finalPiece) {
-  StateInstance& s = ts.stack.back();
+  StateInstance& s = ts.stack.top();
   const Tick dura = t - ts.pieceStart;
   // Zero-length interruption pieces carry no information; suppress them
   // (a zero-length *final* piece still counts the call, so it is kept).
@@ -143,14 +143,11 @@ void StreamingConverter::closePiece(LogicalThreadId ltid, ThreadState& ts,
   const Bebits bebits =
       s.pieces == 0 ? (finalPiece ? Bebits::kComplete : Bebits::kBegin)
                     : (finalPiece ? Bebits::kEnd : Bebits::kContinuation);
-  ByteWriter extra;
-  extra.bytes(s.argsAll);
-  if (isFirstPiece(bebits)) extra.bytes(s.argsBegin);
-  if (isLastPiece(bebits)) extra.bytes(s.argsEnd);
-  const ByteWriter body =
-      encodeRecordBody(makeIntervalType(s.type, bebits), ts.pieceStart, dura,
-                       ts.cpu, node_, ltid, extra.view());
-  emit(body.view());
+  encodeRecordBody(body_, makeIntervalType(s.type, bebits), ts.pieceStart,
+                   dura, ts.cpu, node_, ltid, s.argsAll.view());
+  if (isFirstPiece(bebits)) body_.bytes(s.argsBegin.view());
+  if (isLastPiece(bebits)) body_.bytes(s.argsEnd.view());
+  emit(body_.view());
   ++s.pieces;
 }
 
@@ -159,10 +156,7 @@ void StreamingConverter::handleCallEntry(const RawEvent& ev, ThreadState& ts) {
     throw FormatError("call entry from a thread that is not dispatched");
   }
   closePiece(ev.ltid, ts, ev.localTs, /*finalPiece=*/false);
-  StateInstance s;
-  s.type = ev.type;
-  s.argsBegin.assign(ev.payload.begin(), ev.payload.end());
-  ts.stack.push_back(std::move(s));
+  ts.stack.push().reset(ev.type).argsBegin.bytes(ev.payload);
   openPiece(ts, ev.localTs, ts.cpu);
 }
 
@@ -170,7 +164,7 @@ void StreamingConverter::handleCallExit(const RawEvent& ev, ThreadState& ts) {
   if (!ts.onCpu || ts.stack.size() < 2) {
     throw FormatError("call exit without a matching entry");
   }
-  StateInstance& s = ts.stack.back();
+  StateInstance& s = ts.stack.top();
   if (s.type != ev.type) {
     throw FormatError("call exit type " + eventTypeName(ev.type) +
                       " does not match open call " + eventTypeName(s.type));
@@ -178,20 +172,18 @@ void StreamingConverter::handleCallExit(const RawEvent& ev, ThreadState& ts) {
   // Call results (Section 2.3.2: exit arguments become end-piece fields).
   if ((ev.type == EventType::kMpiRecv || ev.type == EventType::kMpiWait)) {
     if (ev.payload.size() == 16) {
-      s.argsEnd.assign(ev.payload.begin(), ev.payload.end());
+      s.argsEnd.bytes(ev.payload);
     } else {
       // MPI_Wait on a send request: no receive result. Fill the fixed
       // result fields with sentinels so the record matches its spec.
-      ByteWriter w;
-      w.i32(-1);  // srcTask
-      w.i32(-1);  // tagRecv
-      w.u32(0);   // msgSizeRecv
-      w.u32(0);   // seqNo
-      s.argsEnd.assign(w.view().begin(), w.view().end());
+      s.argsEnd.i32(-1);  // srcTask
+      s.argsEnd.i32(-1);  // tagRecv
+      s.argsEnd.u32(0);   // msgSizeRecv
+      s.argsEnd.u32(0);   // seqNo
     }
   }
   closePiece(ev.ltid, ts, ev.localTs, /*finalPiece=*/true);
-  ts.stack.pop_back();
+  ts.stack.pop();
   openPiece(ts, ev.localTs, ts.cpu);
 }
 
@@ -211,28 +203,18 @@ void StreamingConverter::handleMarker(const RawEvent& ev, ThreadState& ts) {
 
   if ((ev.flags & kFlagBegin) != 0) {
     closePiece(ev.ltid, ts, ev.localTs, /*finalPiece=*/false);
-    StateInstance s;
-    s.type = EventType::kUserMarker;
-    s.markerId = unifiedId;
-    ByteWriter all;
-    all.u32(unifiedId);
-    s.argsAll.assign(all.view().begin(), all.view().end());
-    ByteWriter begin;
-    begin.u64(instrAddr);
-    s.argsBegin.assign(begin.view().begin(), begin.view().end());
-    ts.stack.push_back(std::move(s));
+    StateInstance& s = ts.stack.push().reset(EventType::kUserMarker, unifiedId);
+    s.argsAll.u32(unifiedId);
+    s.argsBegin.u64(instrAddr);
     openPiece(ts, ev.localTs, ts.cpu);
   } else {
-    if (ts.stack.size() < 2 ||
-        ts.stack.back().type != EventType::kUserMarker ||
-        ts.stack.back().markerId != unifiedId) {
+    if (ts.stack.size() < 2 || ts.stack.top().type != EventType::kUserMarker ||
+        ts.stack.top().markerId != unifiedId) {
       throw FormatError("marker end does not match the open marker");
     }
-    ByteWriter end;
-    end.u64(instrAddr);
-    ts.stack.back().argsEnd.assign(end.view().begin(), end.view().end());
+    ts.stack.top().argsEnd.u64(instrAddr);
     closePiece(ev.ltid, ts, ev.localTs, /*finalPiece=*/true);
-    ts.stack.pop_back();
+    ts.stack.pop();
     openPiece(ts, ev.localTs, ts.cpu);
   }
 }
@@ -241,12 +223,10 @@ void StreamingConverter::emitClockSync(const RawEvent& ev) {
   ByteReader r = ev.payloadReader();
   const Tick global = r.u64();
   const Tick local = r.u64();
-  ByteWriter extra;
-  extra.u64(global);
-  const ByteWriter body = encodeRecordBody(
-      makeIntervalType(kClockSyncState, Bebits::kComplete), local,
-      /*dura=*/0, ev.cpu, node_, ev.ltid, extra.view());
-  emit(body.view());
+  encodeRecordBody(body_, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                   local, /*dura=*/0, ev.cpu, node_, ev.ltid);
+  body_.u64(global);
+  emit(body_.view());
 }
 
 void StreamingConverter::sealThread(LogicalThreadId ltid, ThreadState& ts,
@@ -254,12 +234,13 @@ void StreamingConverter::sealThread(LogicalThreadId ltid, ThreadState& ts,
   while (!ts.stack.empty()) {
     // A state sealed here never saw its exit event; pad the fixed result
     // fields its end/complete spec requires.
-    StateInstance& top = ts.stack.back();
+    StateInstance& top = ts.stack.top();
     if (top.argsEnd.empty()) {
       if (top.type == EventType::kMpiRecv || top.type == EventType::kMpiWait) {
-        top.argsEnd.assign(16, 0);
+        top.argsEnd.u64(0);
+        top.argsEnd.u64(0);
       } else if (top.type == EventType::kUserMarker) {
-        top.argsEnd.assign(8, 0);
+        top.argsEnd.u64(0);
       }
     }
     if (!ts.onCpu) {
@@ -269,7 +250,7 @@ void StreamingConverter::sealThread(LogicalThreadId ltid, ThreadState& ts,
     }
     closePiece(ltid, ts, t, /*finalPiece=*/true);
     ts.onCpu = false;
-    ts.stack.pop_back();
+    ts.stack.pop();
   }
 }
 

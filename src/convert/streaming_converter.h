@@ -26,6 +26,7 @@
 
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
+#include "support/slot_stack.h"
 #include "support/types.h"
 #include "trace/reader.h"
 
@@ -67,9 +68,21 @@ class StreamingConverter {
     EventType type = kRunningState;
     std::uint32_t markerId = 0;  ///< user markers only (for end matching)
     std::uint32_t pieces = 0;
-    std::vector<std::uint8_t> argsAll;
-    std::vector<std::uint8_t> argsBegin;
-    std::vector<std::uint8_t> argsEnd;
+    ByteWriter argsAll;
+    ByteWriter argsBegin;
+    ByteWriter argsEnd;
+
+    /// Makes this (possibly reused) slot a fresh state of `type`, with
+    /// empty argument buffers that keep their capacity.
+    StateInstance& reset(EventType newType, std::uint32_t newMarkerId = 0) {
+      type = newType;
+      markerId = newMarkerId;
+      pieces = 0;
+      argsAll.clear();
+      argsBegin.clear();
+      argsEnd.clear();
+      return *this;
+    }
   };
 
   struct ThreadState {
@@ -78,7 +91,9 @@ class StreamingConverter {
     CpuId cpu = 0;
     Tick pieceStart = 0;
     std::int32_t pid = 0;
-    std::vector<StateInstance> stack;
+    /// Open states, innermost last; a state opened later reuses the
+    /// buffers of a popped one.
+    SlotStack<StateInstance> stack;
   };
 
   ThreadState& threadState(LogicalThreadId ltid);
@@ -101,6 +116,7 @@ class StreamingConverter {
   std::vector<ThreadState> threads_;
   /// (pid, task-local marker id) -> unified marker id.
   std::map<std::pair<std::int32_t, std::uint32_t>, std::uint32_t> markerMap_;
+  ByteWriter body_;  ///< the record being encoded, reused for every record
   bool threadsAnnounced_ = false;
   Tick lastEventTime_ = 0;
   std::uint64_t eventsIn_ = 0;

@@ -65,10 +65,12 @@ void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
   // that are still open at its beginning.
   if (current_.records == 0 && totalRecords_ > 0 && hook_ && !inHook_) {
     inHook_ = true;
-    std::vector<ByteWriter> extra;
-    hook_(lastEnd_, extra);
-    for (const ByteWriter& w : extra) {
-      appendToFrame(w.view(), RecordView::parse(w.view()));
+    hookRecords_.clear();
+    hook_(lastEnd_, hookRecords_);
+    ByteReader pseudo(hookRecords_);
+    while (!pseudo.atEnd()) {
+      const auto pseudoBody = readLengthPrefixedRecord(pseudo);
+      appendToFrame(pseudoBody, RecordView::parse(pseudoBody));
     }
     inHook_ = false;
   }
@@ -81,6 +83,11 @@ void IntervalFileWriter::addRecord(std::span<const std::uint8_t> body) {
 void IntervalFileWriter::appendToFrame(std::span<const std::uint8_t> body,
                                        const RecordView& view) {
   if (current_.records == 0) {
+    // Size the frame from the last sealed one, which closed at its first
+    // record past the target size: records under 256 bytes then never
+    // outgrow this one allocation, and the reservation follows bytes
+    // actually written, not the target option.
+    current_.bytes.reserve(lastFrameBytes_ + 256);
     current_.minStart = view.start;
     current_.maxEnd = view.end();
   } else {
@@ -96,6 +103,7 @@ void IntervalFileWriter::appendToFrame(std::span<const std::uint8_t> body,
 
 void IntervalFileWriter::finalizeFrame() {
   if (current_.records == 0) return;
+  lastFrameBytes_ = current_.bytes.size();
   pendingFrames_.push_back(std::move(current_));
   current_ = PendingFrame{};
   if (pendingFrames_.size() >=

@@ -51,11 +51,13 @@ struct IntervalFileOptions {
 class IntervalFileWriter {
  public:
   /// Called when a new frame is about to start; may append record bodies
-  /// (zero-duration continuation pseudo-intervals) that become the first
-  /// records of the frame. `frameStart` is the end time of the last
-  /// record of the previous frame.
+  /// (zero-duration continuation pseudo-intervals), each with its length
+  /// prefix (appendRecordWithLength), to `out`; they become the first
+  /// records of the frame. `out` is a buffer the writer owns and empties
+  /// before each call. `frameStart` is the end time of the last record
+  /// of the previous frame.
   using FrameStartHook =
-      std::function<void(Tick frameStart, std::vector<ByteWriter>& out)>;
+      std::function<void(Tick frameStart, std::vector<std::uint8_t>& out)>;
 
   IntervalFileWriter(const std::string& path,
                      const IntervalFileOptions& options,
@@ -95,10 +97,12 @@ class IntervalFileWriter {
   IntervalFileOptions options_;
   FileWriter file_;
   FrameStartHook hook_;
+  std::vector<std::uint8_t> hookRecords_;  ///< the hook's output, reused
   std::map<std::uint32_t, std::string> markers_;
 
   PendingFrame current_;
   std::vector<PendingFrame> pendingFrames_;
+  std::size_t lastFrameBytes_ = 0;  ///< size of the last sealed frame
   std::uint64_t prevDirOffset_ = 0;  ///< 0 = none yet
   std::uint64_t totalRecords_ = 0;
   Tick lastEnd_ = 0;

@@ -54,12 +54,14 @@ struct RecordView {
   static RecordView parse(std::span<const std::uint8_t> body);
 };
 
-/// Encodes a record body: common fields followed by pre-encoded
-/// type-specific field bytes (append them in spec order).
-ByteWriter encodeRecordBody(IntervalType type, Tick start, Tick dura,
-                            std::int32_t cpu, NodeId node,
-                            LogicalThreadId thread,
-                            std::span<const std::uint8_t> extra = {});
+/// Encodes a record body into `out`, replacing its contents: common
+/// fields followed by pre-encoded type-specific field bytes (in spec
+/// order). Callers may append further fields after it returns. Hot paths
+/// pass one writer they keep, so its buffer is reused across records.
+void encodeRecordBody(ByteWriter& out, IntervalType type, Tick start,
+                      Tick dura, std::int32_t cpu, NodeId node,
+                      LogicalThreadId thread,
+                      std::span<const std::uint8_t> extra = {});
 
 /// Appends `body` to `out` with the 1-or-3-byte record length prefix.
 void appendRecordWithLength(std::vector<std::uint8_t>& out,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "support/errors.h"
@@ -21,12 +22,19 @@ namespace ute {
 template <typename Key>
 class LoserTree {
  public:
-  LoserTree(std::vector<Key> keys, Key sentinel)
-      : k_(keys.size()), sentinel_(std::move(sentinel)) {
-    if (k_ == 0) throw UsageError("LoserTree needs at least one stream");
+  LoserTree(const std::vector<Key>& keys, Key sentinel)
+      : sentinel_(std::move(sentinel)) {
+    rebuild(keys);
+  }
+
+  /// Replays the whole tournament over fresh keys, one per stream (the
+  /// stream count may change). Reuses the tree's storage, so rebuilding
+  /// at a steady stream count allocates nothing.
+  void rebuild(std::span<const Key> keys) {
+    if (keys.empty()) throw UsageError("LoserTree needs at least one stream");
     m_ = 1;
-    while (m_ < k_) m_ <<= 1;
-    keys_ = std::move(keys);
+    while (m_ < keys.size()) m_ <<= 1;
+    keys_.assign(keys.begin(), keys.end());
     keys_.resize(m_, sentinel_);
     tree_.assign(m_, 0);
     winner_ = build(1);
@@ -74,8 +82,7 @@ class LoserTree {
     return right;
   }
 
-  std::size_t k_;
-  std::size_t m_;
+  std::size_t m_ = 1;
   Key sentinel_;
   std::vector<Key> keys_;
   std::vector<std::size_t> tree_;

@@ -317,6 +317,8 @@ std::vector<StatsTable> StatsEngine::run(
   std::vector<std::map<std::vector<Value>, std::vector<Aggregate>>> groups(
       specs.size());
 
+  // One key buffer for every record; it is copied only into a new group.
+  std::vector<Value> groupKey;
   for (IntervalFileReader* file : files) {
   auto stream = file->records();
   RecordView rec;
@@ -327,8 +329,7 @@ std::vector<StatsTable> StatsEngine::run(
         const auto cond = evaluate(*spec.condition, ctx, rec);
         if (!cond || !cond->truthy()) continue;
       }
-      std::vector<Value> key;
-      key.reserve(spec.xs.size());
+      groupKey.clear();
       bool ok = true;
       for (const XSpec& x : spec.xs) {
         auto v = evaluate(*x.expr, ctx, rec);
@@ -336,12 +337,15 @@ std::vector<StatsTable> StatsEngine::run(
           ok = false;
           break;
         }
-        key.push_back(std::move(*v));
+        groupKey.push_back(std::move(*v));
       }
       if (!ok) continue;
 
-      auto [it, inserted] = groups[t].try_emplace(std::move(key));
-      if (inserted) it->second.resize(spec.ys.size());
+      auto it = groups[t].find(groupKey);
+      if (it == groups[t].end()) {
+        it = groups[t].emplace(groupKey, std::vector<Aggregate>(spec.ys.size()))
+                 .first;
+      }
       for (std::size_t y = 0; y < spec.ys.size(); ++y) {
         if (spec.ys[y].agg == AggKind::kCount) {
           it->second[y].add(0.0);

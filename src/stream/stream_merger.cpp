@@ -13,6 +13,10 @@ namespace {
 
 constexpr Tick kSentinelEnd = ~Tick{0};
 
+/// Drained arena bytes are reclaimed once at least this many have
+/// accumulated and they make up at least half the arena.
+constexpr std::size_t kArenaCompactBytes = 64 << 10;
+
 std::uint64_t leU64At(std::span<const std::uint8_t> bytes, std::size_t at) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
@@ -32,7 +36,10 @@ struct StreamMerger::Input {
   std::vector<ThreadEntry> threadTable;
   std::set<std::pair<NodeId, LogicalThreadId>> excludedThreads;
   std::set<NodeId> nodes;  ///< nodes named by this input's thread table
-  std::deque<std::vector<std::uint8_t>> pending;  ///< raw bodies, asc. end
+  /// Raw bodies not yet loaded, ascending end, each with its record
+  /// length prefix (appendRecordWithLength), in arena[head, end).
+  std::vector<std::uint8_t> arena;
+  std::size_t head = 0;
   std::vector<std::uint8_t> body;  ///< adjusted current record
   RecordView view;
   bool ok = false;
@@ -42,9 +49,41 @@ struct StreamMerger::Input {
   bool closuresQueued = false;
   bool sawRecord = false;
   Tick frontierRaw = 0;  ///< raw (local) end of the last accepted record
-  std::size_t bufferedBytes = 0;  ///< sum of pending body sizes
+  std::size_t bufferedBytes = 0;  ///< sum of pending body sizes (no prefixes)
 
   explicit Input(const OnlineFitOptions& fitOptions) : fit(fitOptions) {}
+
+  bool hasPending() const { return head < arena.size(); }
+
+  /// The oldest pending body; valid until the next push().
+  std::span<const std::uint8_t> peek() const {
+    ByteReader r(std::span<const std::uint8_t>(arena).subspan(head));
+    return readLengthPrefixedRecord(r);
+  }
+
+  /// Removes and returns the oldest pending body; valid until the next
+  /// push().
+  std::span<const std::uint8_t> pop() {
+    const auto out = peek();
+    head += recordSizeOnDisk(out.size());
+    bufferedBytes -= out.size();
+    return out;
+  }
+
+  /// Appends a body, first reclaiming drained bytes: all of them once
+  /// the arena is empty, else by compacting the live tail in place.
+  void push(std::span<const std::uint8_t> raw) {
+    if (head == arena.size()) {
+      arena.clear();
+      head = 0;
+    } else if (head >= kArenaCompactBytes && 2 * head >= arena.size()) {
+      arena.erase(arena.begin(),
+                  arena.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+    appendRecordWithLength(arena, raw);
+    bufferedBytes += raw.size();
+  }
 };
 
 StreamMerger::StreamMerger(const Profile& profile, StreamMergeOptions options)
@@ -176,9 +215,8 @@ void StreamMerger::addRecord(std::size_t i,
       in.excludedThreads.count({v.node, v.thread}) != 0) {
     return;
   }
-  in.pending.emplace_back(body.begin(), body.end());
+  in.push(body);
   bufferedBytes_ += body.size();
-  in.bufferedBytes += body.size();
   dirty_.push_back(i);
 }
 
@@ -207,7 +245,7 @@ std::size_t StreamMerger::bufferedBytes(std::size_t i) const {
 
 bool StreamMerger::needsData(std::size_t i) const {
   const Input& in = input(i);
-  return !in.closed && !in.ok && in.pending.empty();
+  return !in.closed && !in.ok && !in.hasPending();
 }
 
 /// Synthesizes zero-duration end pieces at the input's frontier for
@@ -217,29 +255,27 @@ bool StreamMerger::needsData(std::size_t i) const {
 /// path (and pop the open-state stacks they close).
 void StreamMerger::queueAbortClosures(Input& in) {
   in.closuresQueued = true;
-  for (auto& [key, stack] : openStates_) {
+  for (const auto& [key, stack] : openStates_) {
     if (in.nodes.count(key.first) == 0) continue;
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+    const auto live = stack.live();
+    for (auto it = live.rbegin(); it != live.rend(); ++it) {
       const OpenState& s = *it;
-      ByteWriter extra;
-      extra.bytes(s.alwaysBytes);
+      encodeRecordBody(scratch_, makeIntervalType(s.type, Bebits::kEnd),
+                       in.frontierRaw, /*dura=*/0, s.cpu, s.node, s.thread,
+                       s.alwaysBytes);
       // End-only fields, zero-padded exactly as the converter pads a
       // sealed thread: receive results for MpiRecv/MpiWait, the end
       // instruction address for user markers.
       if (s.type == EventType::kMpiRecv || s.type == EventType::kMpiWait) {
-        extra.i32(-1);
-        extra.i32(-1);
-        extra.u32(0);
-        extra.u32(0);
+        scratch_.i32(-1);
+        scratch_.i32(-1);
+        scratch_.u32(0);
+        scratch_.u32(0);
       } else if (s.type == EventType::kUserMarker) {
-        extra.u64(0);
+        scratch_.u64(0);
       }
-      ByteWriter body = encodeRecordBody(
-          makeIntervalType(s.type, Bebits::kEnd), in.frontierRaw,
-          /*dura=*/0, s.cpu, s.node, s.thread, extra.view());
-      in.pending.emplace_back(body.view().begin(), body.view().end());
-      bufferedBytes_ += body.size();
-      in.bufferedBytes += body.size();
+      in.push(scratch_.view());
+      bufferedBytes_ += scratch_.size();
       ++result_.abortClosures;
     }
   }
@@ -249,17 +285,15 @@ void StreamMerger::queueAbortClosures(Input& in) {
 /// the streaming twin of the batch InputStream::advance (filtering
 /// already happened in addRecord).
 void StreamMerger::loadNext(Input& in) {
-  if (in.pending.empty() && in.aborted && !in.closuresQueued) {
+  if (!in.hasPending() && in.aborted && !in.closuresQueued) {
     queueAbortClosures(in);
   }
-  if (in.pending.empty()) {
+  if (!in.hasPending()) {
     in.ok = false;
     return;
   }
-  const std::vector<std::uint8_t> raw = std::move(in.pending.front());
-  in.pending.pop_front();
+  const std::span<const std::uint8_t> raw = in.pop();
   bufferedBytes_ -= raw.size();
-  in.bufferedBytes -= raw.size();
   const RecordView rawView = RecordView::parse(raw);
   in.body.assign(raw.begin(), raw.end());
   // Map both endpoints through the (monotone) clock map and derive the
@@ -318,15 +352,15 @@ void StreamMerger::openOutput(const std::string& outPath, RecordSink sink) {
   // Frame-start hook: zero-duration continuation pseudo-intervals for
   // every state open at the boundary (Section 3.3).
   writer_->setFrameStartHook(
-      [this](Tick frameStart, std::vector<ByteWriter>& out) {
+      [this](Tick frameStart, std::vector<std::uint8_t>& out) {
         for (const auto& [key, stack] : openStates_) {
-          for (const OpenState& s : stack) {
-            ByteWriter extra;
-            extra.bytes(s.alwaysBytes);
-            extra.u64(frameStart);  // origStart of a pseudo record: itself
-            out.push_back(encodeRecordBody(
-                makeIntervalType(s.type, Bebits::kContinuation), frameStart,
-                /*dura=*/0, s.cpu, s.node, s.thread, extra.view()));
+          for (const OpenState& s : stack.live()) {
+            encodeRecordBody(scratch_,
+                             makeIntervalType(s.type, Bebits::kContinuation),
+                             frameStart, /*dura=*/0, s.cpu, s.node, s.thread,
+                             s.alwaysBytes);
+            scratch_.u64(frameStart);  // origStart of a pseudo record: itself
+            appendRecordWithLength(out, scratch_.view());
             ++result_.pseudoRecords;
           }
         }
@@ -347,7 +381,7 @@ void StreamMerger::emitCurrent(Input& in) {
   // ClockSync records are complete-only and never tracked.
   const Bebits bebits = v.bebits();
   if (bebits == Bebits::kBegin) {
-    OpenState s;
+    OpenState& s = openStates_[{v.node, v.thread}].push();
     s.type = v.eventType();
     s.cpu = v.cpu;
     s.node = v.node;
@@ -357,16 +391,17 @@ void StreamMerger::emitCurrent(Input& in) {
     if (v.body.size() >= kCommonPrefixBytes + n) {
       s.alwaysBytes.assign(v.body.begin() + kCommonPrefixBytes,
                            v.body.begin() + kCommonPrefixBytes + n);
+    } else {
+      s.alwaysBytes.clear();
     }
-    openStates_[{v.node, v.thread}].push_back(std::move(s));
   } else if (bebits == Bebits::kEnd) {
     auto& stack = openStates_[{v.node, v.thread}];
-    if (stack.empty() || stack.back().type != v.eventType()) {
+    if (stack.empty() || stack.top().type != v.eventType()) {
       throw FormatError("end piece without a matching begin piece "
                         "(node " + std::to_string(v.node) + ", thread " +
                         std::to_string(v.thread) + ")");
     }
-    stack.pop_back();
+    stack.pop();
   }
   loadNext(in);
 }
@@ -383,10 +418,10 @@ bool StreamMerger::fitsFrozen() {
 std::pair<Tick, std::size_t> StreamMerger::keyOf(std::size_t i) const {
   const Input& in = *inputs_[i];
   if (in.ok) return {in.view.end(), i};
-  if (!in.pending.empty()) {
+  if (in.hasPending()) {
     // Buffered but not yet loaded (between addRecord and the next
     // advance): key by the head record so watermark() stays exact.
-    const RecordView head = RecordView::parse(in.pending.front());
+    const RecordView head = RecordView::parse(in.peek());
     return {in.fit.map().toGlobal(head.end()), i};
   }
   if (in.closed && (!in.aborted || in.closuresQueued)) {
@@ -400,15 +435,17 @@ std::pair<Tick, std::size_t> StreamMerger::keyOf(std::size_t i) const {
 }
 
 void StreamMerger::buildTree() {
-  std::vector<std::pair<Tick, std::size_t>> keys;
-  keys.reserve(inputs_.size());
+  treeKeys_.clear();
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     if (!inputs_[i]->ok) loadNext(*inputs_[i]);
-    keys.push_back(keyOf(i));
+    treeKeys_.push_back(keyOf(i));
   }
-  tree_ = std::make_unique<LoserTree<std::pair<Tick, std::size_t>>>(
-      std::move(keys), std::pair<Tick, std::size_t>{kSentinelEnd,
-                                                    inputs_.size()});
+  if (tree_) {
+    tree_->rebuild(treeKeys_);
+  } else {
+    tree_ = std::make_unique<LoserTree<std::pair<Tick, std::size_t>>>(
+        treeKeys_, std::pair<Tick, std::size_t>{kSentinelEnd, inputs_.size()});
+  }
 }
 
 void StreamMerger::advance() {
@@ -448,7 +485,8 @@ void StreamMerger::advance() {
     // (LoserTree::update's contract — the stored losers along that one
     // path are exactly the winner's candidate set), but newly arrived
     // records move arbitrary leaves, so rebuild the whole tournament.
-    // O(#inputs), dwarfed by the per-record work the tree then does.
+    // O(#inputs) in the tree's own storage, dwarfed by the per-record
+    // work the tree then does.
     buildTree();
     dirty_.clear();
   }

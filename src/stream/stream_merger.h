@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,6 +52,7 @@
 #include "interval/record.h"
 #include "merge/tournament_tree.h"
 #include "stream/online_fit.h"
+#include "support/slot_stack.h"
 
 namespace ute {
 
@@ -206,13 +206,17 @@ class StreamMerger {
   std::vector<std::unique_ptr<Input>> inputs_;
   std::vector<ThreadEntry> mergedThreads_;
   std::map<std::uint32_t, std::string> mergedMarkers_;
-  std::map<std::pair<NodeId, LogicalThreadId>, std::vector<OpenState>>
+  /// Per thread, its open states; a later begin piece reuses the buffers
+  /// of a popped one.
+  std::map<std::pair<NodeId, LogicalThreadId>, SlotStack<OpenState>>
       openStates_;
 
   std::unique_ptr<IntervalFileWriter> writer_;
   RecordSink sink_;
   std::unique_ptr<LoserTree<std::pair<Tick, std::size_t>>> tree_;
+  std::vector<std::pair<Tick, std::size_t>> treeKeys_;  ///< rebuild scratch
   std::vector<std::size_t> dirty_;  ///< inputs whose tree key may have moved
+  ByteWriter scratch_;  ///< synthesized record bodies, reused
   bool ratiosRecorded_ = false;
   bool finished_ = false;
   Tick lastEmittedEnd_ = 0;

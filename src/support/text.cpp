@@ -1,5 +1,6 @@
 #include "support/text.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -49,9 +50,17 @@ std::string withCommas(std::uint64_t n) {
 }
 
 std::string fixed(double v, int digits) {
+  std::string out;
+  appendFixed(out, v, digits);
+  return out;
+}
+
+void appendFixed(std::string& out, double v, int digits) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+  if (n > 0) {
+    out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
+  }
 }
 
 std::uint64_t parseU64(std::string_view s) {

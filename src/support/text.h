@@ -19,6 +19,8 @@ std::string withCommas(std::uint64_t n);
 
 /// Fixed-point decimal with `digits` places (printf "%.*f").
 std::string fixed(double v, int digits);
+/// Appends fixed(v, digits) to `out` without a temporary string.
+void appendFixed(std::string& out, double v, int digits);
 
 /// Parses a non-negative integer; throws ParseError with context on junk.
 std::uint64_t parseU64(std::string_view s);

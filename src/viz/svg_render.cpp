@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string_view>
 
 #include "slog/preview.h"
 #include "support/text.h"
@@ -10,39 +12,88 @@ namespace ute {
 
 namespace {
 
-std::string rgbHex(std::uint32_t rgb) {
+// Every helper appends straight into the document: numbers and colours
+// are formatted into a stack buffer, never into a temporary string.
+
+void appendRgb(std::string& svg, std::uint32_t rgb) {
   char buf[8];
   std::snprintf(buf, sizeof buf, "#%06x", rgb & 0xffffff);
-  return buf;
+  svg += buf;
 }
 
-std::string escapeXml(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void appendEscapedXml(std::string& svg, std::string_view s) {
   for (char c : s) {
     switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
+      case '<': svg += "&lt;"; break;
+      case '>': svg += "&gt;"; break;
+      case '&': svg += "&amp;"; break;
+      case '"': svg += "&quot;"; break;
+      default: svg.push_back(c);
     }
   }
-  return out;
 }
 
 void rect(std::string& svg, double x, double y, double w, double h,
-          const std::string& fill, const std::string& extra = "") {
-  svg += "<rect x=\"" + fixed(x, 2) + "\" y=\"" + fixed(y, 2) + "\" width=\"" +
-         fixed(std::max(w, 0.5), 2) + "\" height=\"" + fixed(h, 2) +
-         "\" fill=\"" + fill + "\"" + extra + "/>\n";
+          std::uint32_t fill, std::string_view extra = {}) {
+  svg += "<rect x=\"";
+  appendFixed(svg, x, 2);
+  svg += "\" y=\"";
+  appendFixed(svg, y, 2);
+  svg += "\" width=\"";
+  appendFixed(svg, std::max(w, 0.5), 2);
+  svg += "\" height=\"";
+  appendFixed(svg, h, 2);
+  svg += "\" fill=\"";
+  appendRgb(svg, fill);
+  svg += '"';
+  svg += extra;
+  svg += "/>\n";
 }
 
-void text(std::string& svg, double x, double y, const std::string& s,
-          int size = 11, const std::string& extra = "") {
-  svg += "<text x=\"" + fixed(x, 1) + "\" y=\"" + fixed(y, 1) +
-         "\" font-family=\"sans-serif\" font-size=\"" + std::to_string(size) +
-         "\"" + extra + ">" + escapeXml(s) + "</text>\n";
+void text(std::string& svg, double x, double y, std::string_view s,
+          int size = 11, std::string_view extra = {}) {
+  svg += "<text x=\"";
+  appendFixed(svg, x, 1);
+  svg += "\" y=\"";
+  appendFixed(svg, y, 1);
+  svg += "\" font-family=\"sans-serif\" font-size=\"";
+  svg += std::to_string(size);
+  svg += '"';
+  svg += extra;
+  svg += '>';
+  appendEscapedXml(svg, s);
+  svg += "</text>\n";
+}
+
+/// "<line x1=.. y1=.. x2=.. y2=.." with one-decimal coordinates; the
+/// caller appends the attributes and the closing "/>".
+void lineStart(std::string& svg, double x1, double y1, double x2, double y2) {
+  svg += "<line x1=\"";
+  appendFixed(svg, x1, 1);
+  svg += "\" y1=\"";
+  appendFixed(svg, y1, 1);
+  svg += "\" x2=\"";
+  appendFixed(svg, x2, 1);
+  svg += "\" y2=\"";
+  appendFixed(svg, y2, 1);
+  svg += '"';
+}
+
+/// An axis label: `v` seconds with `digits` places and an "s" suffix.
+void secondsLabel(std::string& svg, double x, double y, double v,
+                  int digits) {
+  char label[64];
+  std::snprintf(label, sizeof label, "%.*fs", digits, v);
+  text(svg, x, y, label, 9);
+}
+
+std::string svgOpen(int width, int height) {
+  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"";
+  svg += std::to_string(width);
+  svg += "\" height=\"";
+  svg += std::to_string(height);
+  svg += "\">\n";
+  return svg;
 }
 
 }  // namespace
@@ -69,10 +120,8 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
                            chartWidth;
   };
 
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-                    std::to_string(options.width) + "\" height=\"" +
-                    std::to_string(height) + "\">\n";
-  rect(svg, 0, 0, options.width, height, "#ffffff");
+  std::string svg = svgOpen(options.width, height);
+  rect(svg, 0, 0, options.width, height, 0xffffff);
   text(svg, 8, 18, model.title + " (" + viewKindName(model.kind) + ")", 13,
        " font-weight=\"bold\"");
 
@@ -80,7 +129,7 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
   for (std::size_t r = 0; r < model.rows.size(); ++r) {
     const double y = topMargin + static_cast<double>(r) * options.rowHeight;
     rect(svg, chartLeft, y, chartWidth, options.rowHeight - 2,
-         r % 2 == 0 ? "#f4f4f4" : "#ececec");
+         r % 2 == 0 ? 0xf4f4f4 : 0xececec);
     text(svg, 4, y + options.rowHeight * 0.7, model.rows[r].label, 10);
     for (const VizSegment& seg : model.rows[r].segments) {
       const double x0 = xOf(seg.start);
@@ -91,8 +140,7 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
       const std::uint32_t rgb =
           legendIt != model.legend.end() ? legendIt->second.second : 0x888888;
       rect(svg, x0, y + 1 + inset, x1 - x0, options.rowHeight - 4 - 2 * inset,
-           rgbHex(rgb),
-           seg.pseudo ? " stroke=\"#333\" stroke-dasharray=\"2,2\"" : "");
+           rgb, seg.pseudo ? " stroke=\"#333\" stroke-dasharray=\"2,2\"" : "");
     }
   }
 
@@ -102,11 +150,12 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
     const double x1 = xOf(a.toTime);
     const double y0 = topMargin + (a.fromRow + 0.5) * options.rowHeight;
     const double y1 = topMargin + (a.toRow + 0.5) * options.rowHeight;
-    svg += "<line x1=\"" + fixed(x0, 1) + "\" y1=\"" + fixed(y0, 1) +
-           "\" x2=\"" + fixed(x1, 1) + "\" y2=\"" + fixed(y1, 1) +
-           "\" stroke=\"#222\" stroke-width=\"1\"/>\n";
-    svg += "<circle cx=\"" + fixed(x1, 1) + "\" cy=\"" + fixed(y1, 1) +
-           "\" r=\"2.2\" fill=\"#222\"/>\n";
+    lineStart(svg, x0, y0, x1, y1);
+    svg += " stroke=\"#222\" stroke-width=\"1\"/>\n<circle cx=\"";
+    appendFixed(svg, x1, 1);
+    svg += "\" cy=\"";
+    appendFixed(svg, y1, 1);
+    svg += "\" r=\"2.2\" fill=\"#222\"/>\n";
   }
 
   // Time axis (seconds).
@@ -117,10 +166,9 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
     const double frac = i / 10.0;
     const double x = chartLeft + frac * chartWidth;
     const double tSec = (tMin + frac * (tMax - tMin)) / 1e9;
-    svg += "<line x1=\"" + fixed(x, 1) + "\" y1=\"" + fixed(axisY - 10, 1) +
-           "\" x2=\"" + fixed(x, 1) + "\" y2=\"" + fixed(axisY - 4, 1) +
-           "\" stroke=\"#666\"/>\n";
-    text(svg, x - 12, axisY + 8, fixed(tSec, 3) + "s", 9);
+    lineStart(svg, x, axisY - 10, x, axisY - 4);
+    svg += " stroke=\"#666\"/>\n";
+    secondsLabel(svg, x - 12, axisY + 8, tSec, 3);
   }
 
   // Legend.
@@ -129,7 +177,7 @@ std::string renderSvg(const TimeSpaceModel& model, const SvgOptions& options) {
     double ly = axisY + 24;
     int col = 0;
     for (const auto& [key, entry] : model.legend) {
-      rect(svg, lx, ly - 9, 10, 10, rgbHex(entry.second));
+      rect(svg, lx, ly - 9, 10, 10, entry.second);
       text(svg, lx + 14, ly, entry.first, 10);
       lx += chartWidth / 5.0;
       if (++col % 5 == 0) {
@@ -161,10 +209,8 @@ std::string renderPreviewSvg(const SlogPreview& preview,
     maxTotal = std::max(maxTotal, total);
   }
 
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-                    std::to_string(options.width) + "\" height=\"" +
-                    std::to_string(height) + "\">\n";
-  rect(svg, 0, 0, options.width, height, "#ffffff");
+  std::string svg = svgOpen(options.width, height);
+  rect(svg, 0, 0, options.width, height, 0xffffff);
   text(svg, 8, 18, "preview: state time per bin", 13, " font-weight=\"bold\"");
 
   const double binW = static_cast<double>(chartWidth) / p.bins;
@@ -175,8 +221,7 @@ std::string renderPreviewSvg(const SlogPreview& preview,
       if (v <= 0) continue;
       const double h = v / maxTotal * chartHeight;
       y -= h;
-      rect(svg, chartLeft + b * binW, y, binW - 0.5, h,
-           rgbHex(states[s].rgb));
+      rect(svg, chartLeft + b * binW, y, binW - 0.5, h, states[s].rgb);
     }
   }
 
@@ -185,15 +230,15 @@ std::string renderPreviewSvg(const SlogPreview& preview,
       static_cast<double>(p.binWidth) * p.bins / 1e9;
   for (int i = 0; i <= 10; ++i) {
     const double frac = i / 10.0;
-    text(svg, chartLeft + frac * chartWidth - 12, axisY + 6,
-         fixed(frac * totalSec, 1) + "s", 9);
+    secondsLabel(svg, chartLeft + frac * chartWidth - 12, axisY + 6,
+                 frac * totalSec, 1);
   }
 
   double lx = chartLeft;
   double ly = axisY + 28;
   int col = 0;
   for (const SlogStateDef& s : states) {
-    rect(svg, lx, ly - 9, 10, 10, rgbHex(s.rgb));
+    rect(svg, lx, ly - 9, 10, 10, s.rgb);
     text(svg, lx + 14, ly, s.name, 10);
     lx += chartWidth / 5.0;
     if (++col % 5 == 0) {

@@ -46,8 +46,10 @@ ByteWriter mergedBody(EventType event, Bebits bebits, Tick start, Tick dura,
   ByteWriter extra;
   extra.bytes(args.view());
   extra.u64(start);  // origStart
-  return encodeRecordBody(makeIntervalType(event, bebits), start, dura, 0,
-                          node, thread, extra.view());
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(event, bebits), start, dura, 0, node,
+                   thread, extra.view());
+  return body;
 }
 
 RecordView viewOf(const ByteWriter& body) {

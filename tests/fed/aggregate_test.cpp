@@ -48,10 +48,10 @@ std::string writeSlog(const std::string& name, int records, int mpiEvery) {
     const Tick start = static_cast<Tick>(i) * kMs;
     ByteWriter extra;
     extra.u64(start);
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         start, kMs / 2, 0, i % 2, 0, extra.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     start, kMs / 2, 0, i % 2, 0, extra.view());
+    w.addRecord(RecordView::parse(body.view()));
     if (mpiEvery > 0 && i % mpiEvery == 0) {
       ByteWriter args;
       args.i32(1);                                  // destTask
@@ -62,11 +62,10 @@ std::string writeSlog(const std::string& name, int records, int mpiEvery) {
       ByteWriter sendExtra;
       sendExtra.bytes(args.view());
       sendExtra.u64(start + kMs / 2);
-      w.addRecord(RecordView::parse(
-          encodeRecordBody(
-              makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
-              start + kMs / 2, kMs / 4, 0, i % 2, 0, sendExtra.view())
-              .view()));
+      encodeRecordBody(body,
+                       makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
+                       start + kMs / 2, kMs / 4, 0, i % 2, 0, sendExtra.view());
+      w.addRecord(RecordView::parse(body.view()));
     }
   }
   w.close();

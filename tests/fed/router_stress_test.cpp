@@ -51,11 +51,11 @@ std::string writeSlog(const std::string& name, int records) {
   for (int i = 0; i < records; ++i) {
     ByteWriter extra;
     extra.u64(static_cast<Tick>(i) * kMs);
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         static_cast<Tick>(i) * kMs, kMs / 2, 0, i % 2, 0,
-                         extra.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     static_cast<Tick>(i) * kMs, kMs / 2, 0, i % 2, 0,
+                     extra.view());
+    w.addRecord(RecordView::parse(body.view()));
   }
   w.close();
   return path;

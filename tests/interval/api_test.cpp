@@ -43,16 +43,17 @@ struct ApiFixture : ::testing::Test {
       extra.u32(bytes);
       extra.u32(bytes / 100);
       extra.i32(0);
-      w.addRecord(encodeRecordBody(
-                      makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
-                      t, 50, 0, 0, 0, extra.view())
-                      .view());
+      ByteWriter body;
+      encodeRecordBody(body,
+                       makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
+                       t, 50, 0, 0, 0, extra.view());
+      w.addRecord(body.view());
       t += 100;
     }
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete), t,
-                    500, 0, 0, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     t, 500, 0, 0, 0);
+    w.addRecord(body.view());
     w.close();
   }
 

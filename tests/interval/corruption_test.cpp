@@ -41,10 +41,10 @@ std::string makeIntervalFile(const std::string& name) {
   IntervalFileWriter w(path, options, threads);
   w.addMarker(1, "phase");
   for (int i = 0; i < 300; ++i) {
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete),
-                    static_cast<Tick>(i) * 100, 50, 0, 0, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     static_cast<Tick>(i) * 100, 50, 0, 0, 0);
+    w.addRecord(body.view());
   }
   w.close();
   return path;
@@ -159,9 +159,9 @@ TEST(SlogCorruption, FlipsAndTruncationsHandled) {
     for (int i = 0; i < 300; ++i) {
       ByteWriter extra;
       extra.u64(static_cast<Tick>(i) * 100);  // origStart
-      const ByteWriter body = encodeRecordBody(
-          makeIntervalType(kRunningState, Bebits::kComplete),
-          static_cast<Tick>(i) * 100, 50, 0, 0, 0, extra.view());
+      ByteWriter body;
+      encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                       static_cast<Tick>(i) * 100, 50, 0, 0, 0, extra.view());
       w.addRecord(RecordView::parse(body.view()));
     }
     w.close();

@@ -39,8 +39,10 @@ IntervalFileOptions smallFrames() {
 
 ByteWriter runningPiece(Tick start, Tick dura, LogicalThreadId thread,
                         Bebits bebits = Bebits::kComplete) {
-  return encodeRecordBody(makeIntervalType(kRunningState, bebits), start,
-                          dura, 0, 0, thread);
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(kRunningState, bebits), start, dura,
+                   0, 0, thread);
+  return body;
 }
 
 TEST(IntervalFile, HeaderThreadsAndMarkersRoundTrip) {
@@ -154,10 +156,13 @@ TEST(IntervalFile, FrameStartHookInjectsPseudoRecords) {
   int hookCalls = 0;
   {
     IntervalFileWriter w(path, smallFrames(), sampleThreads());
-    w.setFrameStartHook([&](Tick frameStart, std::vector<ByteWriter>& out) {
-      ++hookCalls;
-      out.push_back(runningPiece(frameStart, 0, 2, Bebits::kContinuation));
-    });
+    w.setFrameStartHook(
+        [&](Tick frameStart, std::vector<std::uint8_t>& out) {
+          ++hookCalls;
+          appendRecordWithLength(
+              out, runningPiece(frameStart, 0, 2, Bebits::kContinuation)
+                       .view());
+        });
     for (int i = 0; i < 500; ++i) {
       w.addRecord(runningPiece(static_cast<Tick>(i) * 10, 9, 0).view());
     }
@@ -248,8 +253,10 @@ TEST_P(IntervalFileFuzzTest, RandomRecordsRoundTripExactly) {
       }
       // Use a synthetic type id so no profile validation applies; the
       // format itself is self-describing at the framing level.
-      const ByteWriter body = encodeRecordBody(
-          static_cast<IntervalType>(4000 + extraWords), t > dura ? t - dura : 0,
+      ByteWriter body;
+      encodeRecordBody(
+          body, static_cast<IntervalType>(4000 + extraWords),
+          t > dura ? t - dura : 0,
           dura, static_cast<std::int32_t>(rng.below(8)), 0,
           static_cast<LogicalThreadId>(rng.below(3)), extra.view());
       originals.emplace_back(body.view().begin(), body.view().end());

@@ -35,8 +35,10 @@ std::vector<ThreadEntry> sampleThreads() {
 }
 
 ByteWriter runningPiece(Tick start, Tick dura, LogicalThreadId thread) {
-  return encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                          start, dura, 0, 0, thread);
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                   start, dura, 0, 0, thread);
+  return body;
 }
 
 /// Writes `n` records with small frames and `framesPerDirectory` frames

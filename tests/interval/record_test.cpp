@@ -14,10 +14,12 @@ ByteWriter sampleBody() {
   extra.u32(4096);   // msgSizeSent
   extra.u32(33);     // seqNo
   extra.i32(0);      // comm
-  return encodeRecordBody(
-      makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
-      /*start=*/1000, /*dura=*/250, /*cpu=*/3, /*node=*/1, /*thread=*/5,
-      extra.view());
+  ByteWriter body;
+  encodeRecordBody(body,
+                   makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
+                   /*start=*/1000, /*dura=*/250, /*cpu=*/3, /*node=*/1,
+                   /*thread=*/5, extra.view());
+  return body;
 }
 
 TEST(Record, CommonPrefixParses) {
@@ -48,7 +50,8 @@ TEST(Record, LengthPrefixShortAndExtended) {
   // A record longer than 255 bytes uses the 0 + u16 escape.
   ByteWriter extra;
   for (int i = 0; i < 100; ++i) extra.u32(static_cast<std::uint32_t>(i));
-  const ByteWriter big = encodeRecordBody(1, 0, 0, 0, 0, 0, extra.view());
+  ByteWriter big;
+  encodeRecordBody(big, 1, 0, 0, 0, 0, 0, extra.view());
   std::vector<std::uint8_t> out2;
   appendRecordWithLength(out2, big.view());
   EXPECT_EQ(out2[0], 0);
@@ -101,9 +104,10 @@ TEST(Record, MaskSelectsMergedOnlyFields) {
   extra.u32(33);
   extra.i32(0);
   extra.u64(999999);  // origStart, present under the merged mask
-  const ByteWriter body = encodeRecordBody(
-      makeIntervalType(EventType::kMpiSend, Bebits::kComplete), 1000, 250, 3,
-      1, 5, extra.view());
+  ByteWriter body;
+  encodeRecordBody(body,
+                   makeIntervalType(EventType::kMpiSend, Bebits::kComplete),
+                   1000, 250, 3, 1, 5, extra.view());
   const RecordView v = RecordView::parse(body.view());
   EXPECT_EQ(getScalarByName(profile, kMergedFileMask, v, "origStart"),
             std::optional<std::int64_t>(999999));
@@ -117,9 +121,9 @@ TEST(Record, SignExtensionOfNegativeFields) {
   extra.i32(-1);  // srcWanted = MPI_ANY_SOURCE
   extra.i32(-1);  // tagWanted = MPI_ANY_TAG
   extra.i32(0);   // comm
-  const ByteWriter body = encodeRecordBody(
-      makeIntervalType(EventType::kMpiRecv, Bebits::kBegin), 10, 5, 0, 0, 0,
-      extra.view());
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(EventType::kMpiRecv, Bebits::kBegin),
+                   10, 5, 0, 0, 0, extra.view());
   const RecordView v = RecordView::parse(body.view());
   EXPECT_EQ(getScalarByName(profile, kNodeFileMask, v, "srcWanted"),
             std::optional<std::int64_t>(-1));
@@ -143,7 +147,8 @@ TEST(Record, VectorFieldsWalkAndDecode) {
   ByteWriter extra;
   extra.lstring("hello interval");  // u16 counter + chars: matches spec
   extra.u32(777);
-  const ByteWriter body = encodeRecordBody(4, 1, 2, 0, 0, 0, extra.view());
+  ByteWriter body;
+  encodeRecordBody(body, 4, 1, 2, 0, 0, 0, extra.view());
   const RecordView v = RecordView::parse(body.view());
 
   EXPECT_EQ(getStringByName(profile, ~0ull, v, "text"),
@@ -196,7 +201,8 @@ TEST(Record, FieldAccessorFastAndSlowPathsAgree) {
   extra.u8(9);
   extra.u8(9);
   extra.i64(-5);
-  const ByteWriter vecBody = encodeRecordBody(8, 0, 0, 0, 0, 0, extra.view());
+  ByteWriter vecBody;
+  encodeRecordBody(vecBody, 8, 0, 0, 0, 0, 0, extra.view());
   const FieldAccessor slow(custom, 8, ~0ull, "tail");
   EXPECT_TRUE(slow.present());
   EXPECT_EQ(slow.get(RecordView::parse(vecBody.view())),

@@ -48,19 +48,20 @@ std::string writeNodeFile(const std::string& name, NodeId node,
   const auto clockSync = [&](Tick trueNs) {
     ByteWriter extra;
     extra.u64(trueNs);
-    return encodeRecordBody(
-        makeIntervalType(kClockSyncState, Bebits::kComplete),
-        clock.read(trueNs), 0, 0, node, 0, extra.view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                     clock.read(trueNs), 0, 0, node, 0, extra.view());
+    return body;
   };
 
   w.addRecord(clockSync(0).view());
   for (int i = 0; i < n; ++i) {
     const Tick t = static_cast<Tick>(i) * 2 * kMs;
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete),
-                    clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
-                    node, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
+                     node, 0);
+    w.addRecord(body.view());
     if (i % 100 == 99) {
       w.addRecord(clockSync(t + 2 * kMs - 1).view());
     }
@@ -178,24 +179,24 @@ TEST(Merge, PseudoIntervalsRestateOpenStatesAtFrameStarts) {
     ByteWriter begin = all;
     begin.u64(0xdead);  // instrAddrBegin
     // Marker begin piece [0, 1ms).
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(EventType::kUserMarker, Bebits::kBegin),
-                    0, kMs, 0, 0, 0, begin.view())
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body,
+                     makeIntervalType(EventType::kUserMarker, Bebits::kBegin),
+                     0, kMs, 0, 0, 0, begin.view());
+    w.addRecord(body.view());
     // Many Running pieces on another thread... (same thread suffices:
     // continuation-free gap until the marker ends much later).
     for (int i = 1; i < 800; ++i) {
-      w.addRecord(encodeRecordBody(
-                      makeIntervalType(kRunningState, Bebits::kComplete),
-                      static_cast<Tick>(i) * kMs, kMs / 2, 0, 0, 0)
-                      .view());
+      encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                       static_cast<Tick>(i) * kMs, kMs / 2, 0, 0, 0);
+      w.addRecord(body.view());
     }
     ByteWriter end = all;
     end.u64(0xbeef);
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(EventType::kUserMarker, Bebits::kEnd),
-                    800 * kMs, kMs, 0, 0, 0, end.view())
-                    .view());
+    encodeRecordBody(body,
+                     makeIntervalType(EventType::kUserMarker, Bebits::kEnd),
+                     800 * kMs, kMs, 0, 0, 0, end.view());
+    w.addRecord(body.view());
     w.close();
   }
 

@@ -69,6 +69,41 @@ TEST(LoserTree, RefusesUpdateOnNonWinnerLeaf) {
   EXPECT_EQ(tree.min(), 1u);
 }
 
+TEST(LoserTree, RebuildReplaysFromFreshKeysInPlace) {
+  // The streaming merge rebuilds one tree whenever a non-winner's key
+  // moves. A rebuild must forget every loser the previous tournament
+  // stored, whatever the new stream count.
+  LoserTree<int> tree({1, 2, 3, 4, 5}, 1 << 30);
+  tree.update(0, 9);  // leaves stale losers along leaf 0's path
+  ASSERT_EQ(tree.min(), 1u);
+
+  const std::vector<int> same = {8, 7, 6, 9, 10};
+  tree.rebuild(same);
+  EXPECT_EQ(tree.min(), 2u);
+  EXPECT_EQ(tree.minKey(), 6);
+
+  // Merging on after the rebuild still yields sorted output.
+  std::vector<int> keys = same;
+  std::vector<int> merged;
+  while (!tree.exhausted()) {
+    const std::size_t i = tree.min();
+    merged.push_back(keys[i]);
+    keys[i] = keys[i] < 20 ? keys[i] + 5 : 1 << 30;
+    tree.update(i, keys[i]);
+  }
+  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
+  EXPECT_EQ(merged.size(), 19u);
+
+  const std::vector<int> fewer = {4, 3, 5};
+  tree.rebuild(fewer);
+  EXPECT_EQ(tree.min(), 1u);
+  EXPECT_FALSE(tree.exhausted());
+  const std::vector<int> more = {9, 8, 7, 6, 5, 4, 3, 2, 1};
+  tree.rebuild(more);
+  EXPECT_EQ(tree.min(), 8u);
+  EXPECT_THROW(tree.rebuild(std::vector<int>{}), UsageError);
+}
+
 class LoserTreeFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LoserTreeFuzzTest, MatchesStdSortOnRandomStreams) {

@@ -40,11 +40,11 @@ std::string writeValidSlog(const std::string& name) {
   for (int i = 0; i < 400; ++i) {
     ByteWriter extra;
     extra.u64(static_cast<Tick>(i) * kMs);  // origStart
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         static_cast<Tick>(i) * kMs, kMs / 2, 0, 0, 0,
-                         extra.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     static_cast<Tick>(i) * kMs, kMs / 2, 0, 0, 0,
+                     extra.view());
+    w.addRecord(RecordView::parse(body.view()));
   }
   w.close();
   return path;

@@ -31,8 +31,10 @@ ByteWriter mergedBody(EventType event, Bebits bebits, Tick start, Tick dura,
   ByteWriter extra;
   extra.bytes(args.view());
   extra.u64(start);  // origStart
-  return encodeRecordBody(makeIntervalType(event, bebits), start, dura, 0,
-                          node, thread, extra.view());
+  ByteWriter body;
+  encodeRecordBody(body, makeIntervalType(event, bebits), start, dura, 0, node,
+                   thread, extra.view());
+  return body;
 }
 
 RecordView viewOf(const ByteWriter& body) {
@@ -220,10 +222,10 @@ TEST(Slog, ClockSyncRecordsSkipped) {
     ByteWriter extra;
     extra.u64(123);   // globalTime
     extra.u64(100);   // origStart
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kClockSyncState, Bebits::kComplete),
-                         100, 0, 0, 0, 0, extra.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                     100, 0, 0, 0, 0, extra.view());
+    w.addRecord(RecordView::parse(body.view()));
     w.addRecord(viewOf(mergedBody(kRunningState, Bebits::kComplete, 200,
                                   100, 0, 0)));
     w.close();

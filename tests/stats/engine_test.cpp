@@ -8,6 +8,9 @@
 
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
+#include "support/file_io.h"
+#include "workloads/pipeline.h"
+#include "workloads/workloads.h"
 
 #include <unistd.h>
 
@@ -48,10 +51,10 @@ class StatsEngineTest : public ::testing::Test {
     const auto add = [&](EventType event, Bebits bebits, Tick startMs,
                          Tick duraMs, std::int32_t cpu, NodeId node,
                          LogicalThreadId thread, const ByteWriter& extra) {
-      w.addRecord(encodeRecordBody(makeIntervalType(event, bebits),
-                                   startMs * kMs, duraMs * kMs, cpu, node,
-                                   thread, extra.view())
-                      .view());
+      ByteWriter body;
+      encodeRecordBody(body, makeIntervalType(event, bebits), startMs * kMs,
+                       duraMs * kMs, cpu, node, thread, extra.view());
+      w.addRecord(body.view());
     };
     const auto sendArgs = [](std::uint32_t bytes, std::uint32_t seq) {
       ByteWriter w2;
@@ -234,6 +237,33 @@ TEST_F(StatsEngineTest, PredefinedTablesRun) {
     interesting += std::stod(row[2]);
   }
   EXPECT_NEAR(interesting, 0.1 + 0.3 + 0.1 + 0.1, 1e-9);
+}
+
+// The predefined tables on the golden 4-node pipeline trace (the one the
+// metrics oracle and the parallel-pipeline tests use), pinned byte for
+// byte: grouping, row order and number formatting must not drift.
+TEST(StatsEngineGolden, PredefinedTablesMatchPinnedTsv) {
+  TestProgramOptions workload;
+  workload.iterations = 30;
+  workload.nodes = 4;
+  PipelineOptions options;
+  options.dir = makeScratchDir("stats_golden");
+  options.name = "golden";
+  options.convert.targetFrameBytes = 2048;
+  options.merge.targetFrameBytes = 2048;
+  const PipelineResult run = runPipeline(testProgram(workload), options);
+
+  const Profile profile = makeStandardProfile();
+  IntervalFileReader merged(run.mergedFile);
+  StatsEngine engine(profile);
+  std::string all;
+  for (const StatsTable& t :
+       engine.runProgram(predefinedTablesProgram(), merged)) {
+    all += "# " + t.name + "\n" + t.tsv();
+  }
+  const std::vector<std::uint8_t> pinned = readWholeFile(
+      std::string(UTE_TEST_DATA_DIR) + "/predefined_stats_golden.tsv");
+  EXPECT_EQ(all, std::string(pinned.begin(), pinned.end()));
 }
 
 }  // namespace

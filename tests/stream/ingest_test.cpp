@@ -47,18 +47,19 @@ std::string writeNodeFile(const std::string& name, NodeId node,
   const auto clockSync = [&](Tick trueNs) {
     ByteWriter extra;
     extra.u64(trueNs);
-    return encodeRecordBody(
-        makeIntervalType(kClockSyncState, Bebits::kComplete),
-        clock.read(trueNs), 0, 0, node, 0, extra.view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                     clock.read(trueNs), 0, 0, node, 0, extra.view());
+    return body;
   };
   w.addRecord(clockSync(0).view());
   for (int i = 0; i < n; ++i) {
     const Tick t = static_cast<Tick>(i) * 2 * kMs;
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete),
-                    clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
-                    node, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
+                     node, 0);
+    w.addRecord(body.view());
   }
   w.addRecord(clockSync(static_cast<Tick>(n) * 2 * kMs).view());
   w.close();
@@ -324,9 +325,10 @@ TEST(IngestServer, DisconnectWithoutByeSynthesizesAbortClosures) {
     ByteWriter extra;
     extra.u32(1);
     extra.u64(0x1234);
-    const ByteWriter body = encodeRecordBody(
-        makeIntervalType(EventType::kUserMarker, Bebits::kBegin), 0, kMs, 0,
-        0, 0, extra.view());
+    ByteWriter body;
+    encodeRecordBody(body,
+                     makeIntervalType(EventType::kUserMarker, Bebits::kBegin),
+                     0, kMs, 0, 0, 0, extra.view());
     dying.sendRecords({std::vector<std::uint8_t>(body.view().begin(),
                                                  body.view().end())});
   }  // destructor closes the socket abruptly

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <vector>
 
 #include "clock/clock_model.h"
@@ -46,19 +47,20 @@ std::string writeNodeFile(const std::string& name, NodeId node,
   const auto clockSync = [&](Tick trueNs) {
     ByteWriter extra;
     extra.u64(trueNs);
-    return encodeRecordBody(
-        makeIntervalType(kClockSyncState, Bebits::kComplete),
-        clock.read(trueNs), 0, 0, node, 0, extra.view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kClockSyncState, Bebits::kComplete),
+                     clock.read(trueNs), 0, 0, node, 0, extra.view());
+    return body;
   };
 
   w.addRecord(clockSync(0).view());
   for (int i = 0; i < n; ++i) {
     const Tick t = static_cast<Tick>(i) * 2 * kMs;
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete),
-                    clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
-                    node, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     clock.read(t), clock.read(t + kMs) - clock.read(t), 0,
+                     node, 0);
+    w.addRecord(body.view());
     if (i % 100 == 99) w.addRecord(clockSync(t + 2 * kMs - 1).view());
   }
   w.addRecord(clockSync(static_cast<Tick>(n) * 2 * kMs).view());
@@ -98,17 +100,37 @@ InputFeed loadFeed(const std::string& path) {
   return feed;
 }
 
-TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
-  const Profile profile = makeStandardProfile();
+/// Four drifting node files of `n` records each.
+std::vector<std::string> writeDriftingInputs(const std::string& tag, int n) {
   std::vector<std::string> inputs;
   for (int node = 0; node < 4; ++node) {
     inputs.push_back(writeNodeFile(
-        "smerge_eq_" + std::to_string(node) + ".uti", node,
-        node * 12.5 - 20.0, node * 750, 300));
+        "smerge_" + tag + "_" + std::to_string(node) + ".uti", node,
+        node * 12.5 - 20.0, node * 750, n));
   }
+  return inputs;
+}
 
+/// Feeds an opened StreamMerger its inputs' records (it may close them).
+using FeedSchedule =
+    std::function<void(StreamMerger&, const std::vector<InputFeed>&)>;
+
+/// Merges `inputs` through a StreamMerger fed by `schedule` and checks
+/// the output against the batch merge byte for byte.
+void expectFeedMatchesBatch(const std::vector<std::string>& inputs,
+                            const std::string& tag,
+                            const FeedSchedule& schedule) {
+  SCOPED_TRACE(tag);
+  const Profile profile = makeStandardProfile();
+  const std::string batchPath = tempPath("smerge_batch_" + tag + ".uti");
   IntervalMerger batch(inputs, profile);
-  const MergeResult batchResult = batch.mergeTo(tempPath("smerge_batch.uti"));
+  const MergeResult batchResult = batch.mergeTo(batchPath);
+  // The O(k) scan shares no selection code with the loser tree, so it
+  // is an independent reference for the tree's selection.
+  MergeOptions naiveOptions;
+  naiveOptions.useNaiveMerge = true;
+  const std::string naivePath = tempPath("smerge_naive_" + tag + ".uti");
+  IntervalMerger(inputs, profile, naiveOptions).mergeTo(naivePath);
 
   StreamMerger stream(profile);
   std::vector<InputFeed> feeds;
@@ -118,28 +140,13 @@ TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
     stream.setThreads(i, feeds.back().threads);
     stream.setClockPairs(i, feeds.back().pairs, /*final=*/true);
   }
-  stream.openOutput(tempPath("smerge_stream.uti"));
-
-  // Uneven chunks, inputs interleaved, advance() between every burst —
-  // the shape of records trickling in over the network.
-  std::vector<std::size_t> cursor(inputs.size(), 0);
-  bool progressed = true;
-  std::size_t round = 0;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < feeds.size(); ++i) {
-      const std::size_t chunk = 1 + (round + i * 3) % 17;
-      for (std::size_t k = 0; k < chunk && cursor[i] < feeds[i].records.size();
-           ++k) {
-        stream.addRecord(i, feeds[i].records[cursor[i]++]);
-        progressed = true;
-      }
-      stream.advance();
-    }
-    ++round;
-  }
+  const std::string streamPath = tempPath("smerge_stream_" + tag + ".uti");
+  stream.openOutput(streamPath);
+  schedule(stream, feeds);
   const Tick beforeClose = stream.watermark();
-  for (std::size_t i = 0; i < feeds.size(); ++i) stream.closeInput(i);
+  for (std::size_t i = 0; i < feeds.size(); ++i) {
+    if (stream.inputOpen(i)) stream.closeInput(i);
+  }
   const StreamMergeResult streamResult = stream.finish();
   EXPECT_GE(stream.watermark(), beforeClose);  // watermark is monotone
 
@@ -149,8 +156,83 @@ TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
   for (std::size_t i = 0; i < streamResult.ratios.size(); ++i) {
     EXPECT_EQ(streamResult.ratios[i], batchResult.ratios[i]) << i;
   }
-  EXPECT_EQ(readWholeFile(tempPath("smerge_stream.uti")),
-            readWholeFile(tempPath("smerge_batch.uti")));
+  EXPECT_EQ(readWholeFile(streamPath), readWholeFile(batchPath));
+  EXPECT_EQ(readWholeFile(naivePath), readWholeFile(batchPath));
+}
+
+TEST(StreamMerger, ChunkedInterleavedFeedMatchesBatchByteForByte) {
+  const std::vector<std::string> inputs = writeDriftingInputs("eq", 300);
+
+  // Uneven chunks, inputs interleaved, advance() between every burst —
+  // the shape of records trickling in over the network.
+  expectFeedMatchesBatch(
+      inputs, "uneven",
+      [](StreamMerger& stream, const std::vector<InputFeed>& feeds) {
+        std::vector<std::size_t> cursor(feeds.size(), 0);
+        bool progressed = true;
+        std::size_t round = 0;
+        while (progressed) {
+          progressed = false;
+          for (std::size_t i = 0; i < feeds.size(); ++i) {
+            const std::size_t chunk = 1 + (round + i * 3) % 17;
+            for (std::size_t k = 0;
+                 k < chunk && cursor[i] < feeds[i].records.size(); ++k) {
+              stream.addRecord(i, feeds[i].records[cursor[i]++]);
+              progressed = true;
+            }
+            stream.advance();
+          }
+          ++round;
+        }
+      });
+
+  // One record at a time, only to the input the merge stalled on, then
+  // advance(): the finest feed there is, so the tournament is rebuilt
+  // in place for every record.
+  expectFeedMatchesBatch(
+      inputs, "single",
+      [](StreamMerger& stream, const std::vector<InputFeed>& feeds) {
+        std::vector<std::size_t> cursor(feeds.size(), 0);
+        for (bool open = true; open;) {
+          open = false;
+          for (std::size_t i = 0; i < feeds.size(); ++i) {
+            if (!stream.inputOpen(i)) continue;
+            open = true;
+            if (!stream.needsData(i)) continue;
+            if (cursor[i] < feeds[i].records.size()) {
+              stream.addRecord(i, feeds[i].records[cursor[i]++]);
+            } else {
+              stream.closeInput(i);
+            }
+            stream.advance();
+          }
+        }
+      });
+
+  // Two rounds, each one burst of more than 64 KiB to every input, then
+  // advance(). The first bursts are staggered, so the first advance()
+  // stops when input 0 runs dry with a live tail left on every other
+  // input: the second round's bursts land on arenas holding drained
+  // bytes and live ones, which are compacted in place.
+  expectFeedMatchesBatch(
+      writeDriftingInputs("burst", 6000), "burst",
+      [](StreamMerger& stream, const std::vector<InputFeed>& feeds) {
+        std::vector<std::size_t> cursor(feeds.size(), 0);
+        for (std::size_t round = 0; round < 2; ++round) {
+          for (std::size_t i = 0; i < feeds.size(); ++i) {
+            const auto& records = feeds[i].records;
+            const std::size_t stop =
+                round == 0 ? records.size() / 2 + 200 * i : records.size();
+            std::size_t bytes = 0;
+            for (; cursor[i] < stop; ++cursor[i]) {
+              stream.addRecord(i, records[cursor[i]]);
+              bytes += records[cursor[i]].size();
+            }
+            EXPECT_GT(bytes, std::size_t{64} << 10);
+          }
+          stream.advance();
+        }
+      });
 }
 
 TEST(StreamMerger, OutOfOrderRecordsWithinAnInputRejected) {
@@ -185,11 +267,12 @@ TEST(StreamMerger, AbortSynthesizesEndPiecesForOpenStates) {
   ByteWriter extra;
   extra.u32(3);       // markerId (always-field)
   extra.u64(0xabcd);  // instrAddrBegin
+  ByteWriter body;
+  encodeRecordBody(body,
+                   makeIntervalType(EventType::kUserMarker, Bebits::kBegin), 0,
+                   kMs, 0, 0, 0, extra.view());
   merger.addRecord(
-      i, encodeRecordBody(
-             makeIntervalType(EventType::kUserMarker, Bebits::kBegin), 0,
-             kMs, 0, 0, 0, extra.view())
-             .view());
+      i, body.view());
   merger.abortInput(i);
   EXPECT_FALSE(merger.inputOpen(i));
   const StreamMergeResult result = merger.finish();

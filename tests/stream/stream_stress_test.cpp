@@ -45,9 +45,9 @@ std::vector<std::vector<std::uint8_t>> runningRecords(NodeId node, int n,
   bodies.reserve(static_cast<std::size_t>(n));
   for (int i = firstIndex; i < firstIndex + n; ++i) {
     const Tick t = static_cast<Tick>(i) * 2 * kMs;
-    const ByteWriter body =
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         t, kMs, 0, node, 0);
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     t, kMs, 0, node, 0);
     bodies.emplace_back(body.view().begin(), body.view().end());
   }
   return bodies;
@@ -144,9 +144,10 @@ TEST(StreamStress, SilentSessionTimesOutAsAbort) {
       ByteWriter extra;
       extra.u32(1);
       extra.u64(0);
-      const ByteWriter body = encodeRecordBody(
-          makeIntervalType(EventType::kUserMarker, Bebits::kBegin), 0, kMs,
-          0, 0, 0, extra.view());
+      ByteWriter body;
+      encodeRecordBody(body,
+                       makeIntervalType(EventType::kUserMarker, Bebits::kBegin),
+                       0, kMs, 0, 0, 0, extra.view());
       client.sendRecords({std::vector<std::uint8_t>(body.view().begin(),
                                                     body.view().end())});
       std::this_thread::sleep_for(std::chrono::milliseconds(1500));

@@ -31,16 +31,15 @@ MetricsStore diagonalStore() {
                  {});
     ByteWriter extraA;
     extraA.u64(0);
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         0, 500 * kMs, 0, 0, 0, extraA.view())
-            .view()));
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     0, 500 * kMs, 0, 0, 0, extraA.view());
+    w.addRecord(RecordView::parse(body.view()));
     ByteWriter extraB;
     extraB.u64(500 * kMs);
-    w.addRecord(RecordView::parse(
-        encodeRecordBody(makeIntervalType(kRunningState, Bebits::kComplete),
-                         500 * kMs, 500 * kMs, 0, 1, 0, extraB.view())
-            .view()));
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     500 * kMs, 500 * kMs, 0, 1, 0, extraB.view());
+    w.addRecord(RecordView::parse(body.view()));
     w.close();
   }
   SlogReader reader(path);

@@ -71,19 +71,104 @@ TEST(SvgRender, EscapesXmlInLabels) {
   EXPECT_NE(svg.find("a&lt;b&amp;c"), std::string::npos);
 }
 
-TEST(PreviewRender, AsciiAndSvg) {
+SlogPreview samplePreview() {
   PreviewAccumulator acc(64, kMs);
   acc.add(1, 0, 20 * kMs);
   acc.add(2, 10 * kMs, 5 * kMs);
-  const SlogPreview p = acc.snapshot({1, 2});
-  std::vector<SlogStateDef> states = {{1, "Running", 0x4c72b0},
-                                      {2, "MPI_Send", 0xdd8452}};
+  return acc.snapshot({1, 2});
+}
+
+const std::vector<SlogStateDef> kSampleStates = {{1, "Running", 0x4c72b0},
+                                                 {2, "MPI_Send", 0xdd8452}};
+
+TEST(PreviewRender, AsciiAndSvg) {
+  const SlogPreview p = samplePreview();
+  const std::vector<SlogStateDef>& states = kSampleStates;
   const std::string ascii = renderPreviewAscii(p, states, 20);
   EXPECT_NE(ascii.find("Running"), std::string::npos);
   EXPECT_NE(ascii.find("MPI_Send"), std::string::npos);
   const std::string svg = renderPreviewSvg(p, states, 20);
   EXPECT_EQ(svg.find("<svg"), 0u);
   EXPECT_NE(svg.find("Running"), std::string::npos);
+}
+
+// Byte-exact pins of both renderers: the substring checks above would
+// not notice a drift in how numbers and colours are formatted.
+TEST(SvgRender, SampleModelBytesArePinned) {
+  const std::string pinned = R"svg(<svg xmlns="http://www.w3.org/2000/svg" width="1200" height="130">
+<rect x="0.00" y="0.00" width="1200.00" height="130.00" fill="#ffffff"/>
+<text x="8.0" y="18.0" font-family="sans-serif" font-size="13" font-weight="bold">sample (thread-activity)</text>
+<rect x="90.00" y="28.00" width="1100.00" height="20.00" fill="#f4f4f4"/>
+<text x="4.0" y="43.4" font-family="sans-serif" font-size="10">n0.t0</text>
+<rect x="90.00" y="29.00" width="550.00" height="18.00" fill="#4c72b0"/>
+<rect x="640.00" y="32.00" width="550.00" height="12.00" fill="#dd8452"/>
+<rect x="90.00" y="50.00" width="1100.00" height="20.00" fill="#ececec"/>
+<text x="4.0" y="65.4" font-family="sans-serif" font-size="10">n0.t1</text>
+<rect x="365.00" y="51.00" width="550.00" height="18.00" fill="#4c72b0" stroke="#333" stroke-dasharray="2,2"/>
+<line x1="200.0" y1="39.0" x2="750.0" y2="61.0" stroke="#222" stroke-width="1"/>
+<circle cx="750.0" cy="61.0" r="2.2" fill="#222"/>
+<line x1="90.0" y1="76.0" x2="90.0" y2="82.0" stroke="#666"/>
+<text x="78.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="200.0" y1="76.0" x2="200.0" y2="82.0" stroke="#666"/>
+<text x="188.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="310.0" y1="76.0" x2="310.0" y2="82.0" stroke="#666"/>
+<text x="298.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="420.0" y1="76.0" x2="420.0" y2="82.0" stroke="#666"/>
+<text x="408.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="530.0" y1="76.0" x2="530.0" y2="82.0" stroke="#666"/>
+<text x="518.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="640.0" y1="76.0" x2="640.0" y2="82.0" stroke="#666"/>
+<text x="628.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="750.0" y1="76.0" x2="750.0" y2="82.0" stroke="#666"/>
+<text x="738.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="860.0" y1="76.0" x2="860.0" y2="82.0" stroke="#666"/>
+<text x="848.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="970.0" y1="76.0" x2="970.0" y2="82.0" stroke="#666"/>
+<text x="958.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="1080.0" y1="76.0" x2="1080.0" y2="82.0" stroke="#666"/>
+<text x="1068.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<line x1="1190.0" y1="76.0" x2="1190.0" y2="82.0" stroke="#666"/>
+<text x="1178.0" y="94.0" font-family="sans-serif" font-size="9">0.000s</text>
+<rect x="90.00" y="101.00" width="10.00" height="10.00" fill="#4c72b0"/>
+<text x="104.0" y="110.0" font-family="sans-serif" font-size="10">Running</text>
+<rect x="310.00" y="101.00" width="10.00" height="10.00" fill="#dd8452"/>
+<text x="324.0" y="110.0" font-family="sans-serif" font-size="10">MPI_Send</text>
+</svg>
+)svg";
+  EXPECT_EQ(renderSvg(sampleModel()), pinned);
+}
+
+TEST(PreviewRender, SampleSvgBytesArePinned) {
+  const std::string pinned = R"svg(<svg xmlns="http://www.w3.org/2000/svg" width="1200" height="264">
+<rect x="0.00" y="0.00" width="1200.00" height="264.00" fill="#ffffff"/>
+<text x="8.0" y="18.0" font-family="sans-serif" font-size="13" font-weight="bold">preview: state time per bin</text>
+<rect x="90.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="145.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="200.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="255.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="255.00" y="28.00" width="54.50" height="84.00" fill="#dd8452"/>
+<rect x="310.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="310.00" y="46.00" width="54.50" height="66.00" fill="#dd8452"/>
+<rect x="365.00" y="112.00" width="54.50" height="96.00" fill="#4c72b0"/>
+<rect x="420.00" y="184.00" width="54.50" height="24.00" fill="#4c72b0"/>
+<text x="78.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="188.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="298.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="408.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="518.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="628.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="738.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="848.0" y="228.0" font-family="sans-serif" font-size="9">0.0s</text>
+<text x="958.0" y="228.0" font-family="sans-serif" font-size="9">0.1s</text>
+<text x="1068.0" y="228.0" font-family="sans-serif" font-size="9">0.1s</text>
+<text x="1178.0" y="228.0" font-family="sans-serif" font-size="9">0.1s</text>
+<rect x="90.00" y="241.00" width="10.00" height="10.00" fill="#4c72b0"/>
+<text x="104.0" y="250.0" font-family="sans-serif" font-size="10">Running</text>
+<rect x="310.00" y="241.00" width="10.00" height="10.00" fill="#dd8452"/>
+<text x="324.0" y="250.0" font-family="sans-serif" font-size="10">MPI_Send</text>
+</svg>
+)svg";
+  EXPECT_EQ(renderPreviewSvg(samplePreview(), kSampleStates, 20), pinned);
 }
 
 TEST(StatsViewer, HeatmapAsciiShowsGapsForEmptyBins) {

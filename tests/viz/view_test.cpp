@@ -45,9 +45,10 @@ class ViewTest : public ::testing::Test {
                          Tick dura, std::int32_t cpu, NodeId node,
                          LogicalThreadId thread, ByteWriter args = {}) {
       args.u64(start);  // origStart (merged mask)
-      w.addRecord(encodeRecordBody(makeIntervalType(event, bebits), start,
-                                   dura, cpu, node, thread, args.view())
-                      .view());
+      ByteWriter body;
+      encodeRecordBody(body, makeIntervalType(event, bebits), start, dura, cpu,
+                       node, thread, args.view());
+      w.addRecord(body.view());
     };
     const auto sendArgs = [] {
       ByteWriter a;

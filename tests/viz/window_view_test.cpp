@@ -37,9 +37,9 @@ std::string makeSlog() {
   const auto add = [&](EventType event, Bebits bebits, Tick start, Tick dura,
                        ByteWriter args = {}) {
     args.u64(start);  // origStart
-    const ByteWriter body = encodeRecordBody(makeIntervalType(event, bebits),
-                                             start, dura, 0, 0, 0,
-                                             args.view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(event, bebits), start, dura, 0, 0,
+                     0, args.view());
     w.addRecord(RecordView::parse(body.view()));
   };
   ByteWriter markerArgs;
@@ -122,14 +122,13 @@ TEST(StatsStddev, ComputesPopulationDeviation) {
     IntervalFileWriter w(path, options,
                          {{0, 1, 2, 0, 0, ThreadType::kMpi}});
     // Durations 1s, 3s: mean 2, population stddev 1.
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete), 0,
-                    kSec, 0, 0, 0)
-                    .view());
-    w.addRecord(encodeRecordBody(
-                    makeIntervalType(kRunningState, Bebits::kComplete),
-                    2 * kSec, 3 * kSec, 0, 0, 0)
-                    .view());
+    ByteWriter body;
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     0, kSec, 0, 0, 0);
+    w.addRecord(body.view());
+    encodeRecordBody(body, makeIntervalType(kRunningState, Bebits::kComplete),
+                     2 * kSec, 3 * kSec, 0, 0, 0);
+    w.addRecord(body.view());
     w.close();
   }
   IntervalFileReader file(path);
