@@ -1,7 +1,7 @@
 #include "analysis/metrics.h"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
 #include <tuple>
 
 #include "interval/field.h"
@@ -161,16 +161,23 @@ void MetricsStore::addFrame(const SlogFrameData& frame) {
   // matcher below attributes late-sender time to them. An arrow and the
   // last piece of its receive interval are always emitted into the same
   // frame (SlogWriter appends both while processing one merged record).
-  std::map<std::tuple<NodeId, LogicalThreadId, Tick>, Tick> recvStartByEnd;
+  // When several receives share a key, the first in frame order wins.
+  recvByEnd_.clear();
   for (const SlogInterval& r : frame.intervals) {
     if (r.pseudo) continue;
     const auto event = static_cast<EventType>(r.stateId);
     if (event == EventType::kMpiRecv || event == EventType::kMpiWait ||
         event == EventType::kMpiIrecv) {
-      recvStartByEnd.emplace(std::make_tuple(r.node, r.thread, r.end()),
-                             r.start);
+      recvByEnd_.push_back(
+          {threadKey(r.node, r.thread), r.end(),
+           static_cast<std::uint32_t>(recvByEnd_.size()), r.start});
     }
   }
+  std::sort(recvByEnd_.begin(), recvByEnd_.end(),
+            [](const RecvEnd& a, const RecvEnd& b) {
+              return std::tie(a.thread, a.end, a.order) <
+                     std::tie(b.thread, b.end, b.order);
+            });
 
   // Two-pass interval accumulation over staged lanes (the columnar-frame
   // fast path): pass one filters (pseudo, zero-length, unclassified,
@@ -232,10 +239,17 @@ void MetricsStore::addFrame(const SlogFrameData& frame) {
     ++recvCount_[at];
     recvBytes_[at] += a.bytes;
 
-    const auto recv = recvStartByEnd.find(
-        std::make_tuple(a.dstNode, a.dstThread, a.recvTime));
-    if (recv == recvStartByEnd.end()) continue;
-    const Tick recvStart = recv->second;
+    const std::uint64_t key = threadKey(a.dstNode, a.dstThread);
+    const auto recv = std::lower_bound(
+        recvByEnd_.begin(), recvByEnd_.end(), std::make_pair(key, a.recvTime),
+        [](const RecvEnd& e, const std::pair<std::uint64_t, Tick>& k) {
+          return std::tie(e.thread, e.end) < std::tie(k.first, k.second);
+        });
+    if (recv == recvByEnd_.end() || recv->thread != key ||
+        recv->end != a.recvTime) {
+      continue;
+    }
+    const Tick recvStart = recv->start;
     const Tick lateEnd = std::min(a.sendTime, a.recvTime);
     if (lateEnd > recvStart) {
       spread(lateSenderNs_, static_cast<std::uint32_t>(dst), recvStart,
@@ -307,7 +321,17 @@ std::uint64_t MetricsStore::lateSenderTotalNs(std::uint32_t bin) const {
 }
 
 std::vector<std::uint8_t> MetricsStore::encode() const {
+  const std::vector<std::uint64_t>* columns[kColumnCount] = {
+      &timeNs_[0], &timeNs_[1], &timeNs_[2],  &timeNs_[3],    &sendCount_,
+      &sendBytes_, &recvCount_, &recvBytes_,  &lateSenderNs_,
+  };
+  std::size_t bytes = 48 + 8 * tasks_.size();  // header + task table
+  for (std::uint32_t c = 0; c < kColumnCount; ++c) {
+    bytes += 2 + std::strlen(kColumnNames[c]) + 1 + 8 +  // directory entry
+             sizeof(std::uint64_t) * columns[c]->size();
+  }
   ByteWriter w;
+  w.reserve(bytes);
   w.u32(kUtmMagic);
   w.u32(kUtmVersion);
   w.u64(origin_);
@@ -321,10 +345,6 @@ std::vector<std::uint8_t> MetricsStore::encode() const {
     w.i32(tasks_[k]);
     w.u32(threadsPerTask_[k]);
   }
-  const std::vector<std::uint64_t>* columns[kColumnCount] = {
-      &timeNs_[0], &timeNs_[1], &timeNs_[2],  &timeNs_[3],    &sendCount_,
-      &sendBytes_, &recvCount_, &recvBytes_,  &lateSenderNs_,
-  };
   for (std::uint32_t c = 0; c < kColumnCount; ++c) {
     w.lstring(kColumnNames[c]);
     w.u8(0);  // kind 0: u64 grid of bins x tasks cells
@@ -357,6 +377,7 @@ MetricsStore MetricsStore::decode(std::span<const std::uint8_t> bytes) {
   if (classCount != kStateClassCount) {
     throw FormatError(".utm: unexpected state-class count");
   }
+  r.checkCount(taskCount, 8);
   store.tasks_.reserve(taskCount);
   store.threadsPerTask_.reserve(taskCount);
   for (std::uint32_t k = 0; k < taskCount; ++k) {
@@ -370,6 +391,7 @@ MetricsStore MetricsStore::decode(std::span<const std::uint8_t> bytes) {
     std::uint8_t kind = 0;
     std::uint64_t sizeBytes = 0;
   };
+  r.checkCount(columnCount, 11);  // u16 name length, u8 kind, u64 size
   std::vector<Dir> dir(columnCount);
   for (Dir& d : dir) {
     d.name = r.lstring();

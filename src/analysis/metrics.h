@@ -182,6 +182,18 @@ class MetricsStore {
   std::vector<std::uint32_t> laneTask_;
   std::vector<std::uint64_t> laneStart_;
   std::vector<std::uint64_t> laneDura_;
+
+  /// addFrame() index of the frame's receive intervals by where they
+  /// end (capacity reused across frames). Sorted by (thread, end, order),
+  /// so the first entry matching a (thread, end) is the earliest in frame
+  /// order.
+  struct RecvEnd {
+    std::uint64_t thread = 0;  ///< node << 32 | thread
+    Tick end = 0;
+    std::uint32_t order = 0;   ///< position among the frame's receives
+    Tick start = 0;
+  };
+  std::vector<RecvEnd> recvByEnd_;
 };
 
 /// An empty store shaped for `reader`'s run (time range + thread table).

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include "support/errors.h"
+#include "support/scratch.h"
 
 namespace ute {
 
@@ -69,16 +70,87 @@ SlogArrow takeArrow(ByteReader& r) {
   return a;
 }
 
-/// Span-based so callers serialize straight from a shared frame or a
-/// WindowResult without assembling a temporary SlogFrameData. A row
-/// connection gets the exact v1 layout; a columnar connection gets a
-/// u32 blob length + the v2 columnar frame payload.
-void putFrameData(ByteWriter& w, std::span<const SlogInterval> intervals,
-                  std::span<const SlogArrow> arrows,
-                  FrameEncoding enc = FrameEncoding::kRow) {
+/// Wire bytes of one row-encoded record (putInterval / putArrow) and of
+/// the frame index entry frame-at and tail-frames replies carry.
+constexpr std::size_t kRowIntervalBytes = 34;
+constexpr std::size_t kRowArrowBytes = 36;
+constexpr std::size_t kEntryBytes = 32;
+
+void putEntry(ByteWriter& w, const SlogFrameIndexEntry& entry) {
+  w.u64(entry.offset);
+  w.u32(entry.sizeBytes);
+  w.u32(entry.records);
+  w.u64(entry.timeStart);
+  w.u64(entry.timeEnd);
+}
+
+SlogFrameIndexEntry takeEntry(ByteReader& r) {
+  SlogFrameIndexEntry entry;
+  entry.offset = r.u64();
+  entry.sizeBytes = r.u32();
+  entry.records = r.u32();
+  entry.timeStart = r.u64();
+  entry.timeEnd = r.u64();
+  return entry;
+}
+
+/// Per-thread working memory of processRequest(). The server runs each
+/// request on a pool worker, which keeps this scratch from one request
+/// to the next, so a warm request allocates only the reply it returns.
+/// Buffers above kScratchKeepBytes are released after each request.
+struct ReplyScratch {
+  WindowQuery query;
+  WindowResult window;
+  std::vector<SummaryEntry> summary;
+  ColumnarScratch codec;
+  /// Columnar payloads of the reply's frames, back to back; frame i's
+  /// payload ends at frameEnds[i].
+  std::vector<std::uint8_t> frames;
+  std::vector<std::size_t> frameEnds;
+
+  void trim() {
+    releaseIfLarge(query.states);
+    releaseIfLarge(window.intervals);
+    releaseIfLarge(window.arrows);
+    releaseIfLarge(summary);
+    releaseIfLarge(frames);
+    releaseIfLarge(frameEnds);
+  }
+};
+
+ReplyScratch& replyScratch() {
+  thread_local ReplyScratch scratch;
+  return scratch;
+}
+
+/// Stages the next frame of a reply and returns the bytes putFrameData()
+/// will write for it. A columnar frame is encoded here, into the
+/// scratch, so that the reply can be sized exactly before it is written.
+std::size_t stageFrameData(ReplyScratch& s,
+                           std::span<const SlogInterval> intervals,
+                           std::span<const SlogArrow> arrows,
+                           FrameEncoding enc) {
   if (enc == FrameEncoding::kColumnar) {
-    std::vector<std::uint8_t> blob;
-    encodeColumnarFrame(intervals, arrows, blob);
+    const std::size_t begin = s.frames.size();
+    encodeColumnarFrame(intervals, arrows, s.frames, s.codec);
+    s.frameEnds.push_back(s.frames.size());
+    return 4 + (s.frames.size() - begin);
+  }
+  return 8 + intervals.size() * kRowIntervalBytes +
+         arrows.size() * kRowArrowBytes;
+}
+
+/// Writes staged frame `i` (span-based, so callers serialize straight
+/// from a shared frame or a WindowResult). A row connection gets the
+/// exact v1 layout; a columnar connection gets a u32 blob length + the
+/// v2 columnar frame payload.
+void putFrameData(ByteWriter& w, const ReplyScratch& s, std::size_t i,
+                  std::span<const SlogInterval> intervals,
+                  std::span<const SlogArrow> arrows, FrameEncoding enc) {
+  if (enc == FrameEncoding::kColumnar) {
+    const std::size_t begin = i == 0 ? 0 : s.frameEnds[i - 1];
+    const std::span<const std::uint8_t> blob(s.frames.data() + begin,
+                                             s.frameEnds[i] - begin);
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.bytes(blob);
     return;
@@ -89,20 +161,26 @@ void putFrameData(ByteWriter& w, std::span<const SlogInterval> intervals,
   for (const SlogArrow& a : arrows) putArrow(w, a);
 }
 
-SlogFrameData takeFrameData(ByteReader& r,
-                            FrameEncoding enc = FrameEncoding::kRow) {
+SlogFrameData takeFrameData(ByteReader& r, FrameEncoding enc,
+                            ColumnarScratch& scratch) {
   SlogFrameData data;
   if (enc == FrameEncoding::kColumnar) {
     const std::uint32_t blobLen = r.u32();
-    decodeColumnarFrame(r.bytes(blobLen), data, " (wire frame)");
+    try {
+      decodeColumnarFrame(r.bytes(blobLen), data, scratch);
+    } catch (const FormatError& e) {
+      throw FormatError(std::string(e.what()) + " (wire frame)");
+    }
     return data;
   }
   const std::uint32_t nIntervals = r.u32();
+  r.checkCount(nIntervals, kRowIntervalBytes);
   data.intervals.reserve(nIntervals);
   for (std::uint32_t i = 0; i < nIntervals; ++i) {
     data.intervals.push_back(takeInterval(r));
   }
   const std::uint32_t nArrows = r.u32();
+  r.checkCount(nArrows, kRowArrowBytes);
   data.arrows.reserve(nArrows);
   for (std::uint32_t i = 0; i < nArrows; ++i) {
     data.arrows.push_back(takeArrow(r));
@@ -121,11 +199,17 @@ ByteReader openReply(std::span<const std::uint8_t> payload) {
   return r;
 }
 
-ByteWriter okHeader() {
+/// A success reply: the status byte, in a buffer sized for it and the
+/// `bodyBytes` that follow.
+ByteWriter okHeader(std::size_t bodyBytes) {
   ByteWriter w;
+  w.reserve(1 + bodyBytes);
   w.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
   return w;
 }
+
+/// Bytes of ByteWriter::lstring(s).
+std::size_t lstringBytes(const std::string& s) { return 2 + s.size(); }
 
 }  // namespace
 
@@ -298,6 +382,7 @@ std::vector<SlogStateDef> decodeStatesReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   const std::uint32_t count = r.u32();
+  r.checkCount(count, 10);  // id, rgb, name length
   std::vector<SlogStateDef> states;
   states.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -314,6 +399,7 @@ std::vector<ThreadEntry> decodeThreadsReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   const std::uint32_t count = r.u32();
+  r.checkCount(count, 21);
   std::vector<ThreadEntry> threads;
   threads.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -336,6 +422,7 @@ SlogPreview decodePreviewReply(std::span<const std::uint8_t> payload) {
   preview.binWidth = r.u64();
   preview.bins = r.u32();
   const std::uint32_t stateCount = r.u32();
+  r.checkCount(stateCount, std::uint64_t{8} * preview.bins);
   preview.perStateBinTime.reserve(stateCount);
   for (std::uint32_t s = 0; s < stateCount; ++s) {
     std::vector<double> row(preview.bins);
@@ -351,7 +438,8 @@ WindowResult decodeWindowReply(std::span<const std::uint8_t> payload,
   WindowResult result;
   result.t0 = r.u64();
   result.t1 = r.u64();
-  SlogFrameData data = takeFrameData(r, enc);
+  ColumnarScratch scratch;
+  SlogFrameData data = takeFrameData(r, enc, scratch);
   result.intervals = std::move(data.intervals);
   result.arrows = std::move(data.arrows);
   return result;
@@ -362,12 +450,9 @@ FrameReply decodeFrameAtReply(std::span<const std::uint8_t> payload,
   ByteReader r = openReply(payload);
   FrameReply reply;
   reply.frameIdx = r.u32();
-  reply.entry.offset = r.u64();
-  reply.entry.sizeBytes = r.u32();
-  reply.entry.records = r.u32();
-  reply.entry.timeStart = r.u64();
-  reply.entry.timeEnd = r.u64();
-  reply.data = takeFrameData(r, enc);
+  reply.entry = takeEntry(r);
+  ColumnarScratch scratch;
+  reply.data = takeFrameData(r, enc, scratch);
   return reply;
 }
 
@@ -375,6 +460,7 @@ std::vector<SummaryEntry> decodeSummaryReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   const std::uint32_t count = r.u32();
+  r.checkCount(count, 12);
   std::vector<SummaryEntry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -417,15 +503,13 @@ TailFramesReply decodeTailFramesReply(std::span<const std::uint8_t> payload,
   reply.finished = r.u8() != 0;
   reply.watermark = r.u64();
   const std::uint32_t count = r.u32();
+  r.checkCount(count, kEntryBytes + 4);
   reply.frames.reserve(count);
+  ColumnarScratch scratch;
   for (std::uint32_t i = 0; i < count; ++i) {
     TailFrame f;
-    f.entry.offset = r.u64();
-    f.entry.sizeBytes = r.u32();
-    f.entry.records = r.u32();
-    f.entry.timeStart = r.u64();
-    f.entry.timeEnd = r.u64();
-    f.data = takeFrameData(r, enc);
+    f.entry = takeEntry(r);
+    f.data = takeFrameData(r, enc, scratch);
     reply.frames.push_back(std::move(f));
   }
   return reply;
@@ -467,7 +551,11 @@ Distribution takeDistribution(ByteReader& r) {
 }  // namespace
 
 ByteWriter encodeListTracesReply(const std::vector<FedTraceEntry>& entries) {
-  ByteWriter w = okHeader();
+  std::size_t body = 4;
+  for (const FedTraceEntry& e : entries) {
+    body += lstringBytes(e.backend) + lstringBytes(e.name) + 33;
+  }
+  ByteWriter w = okHeader(body);
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const FedTraceEntry& e : entries) {
     w.u32(e.globalId);
@@ -486,6 +574,7 @@ std::vector<FedTraceEntry> decodeListTracesReply(
     std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   const std::uint32_t count = r.u32();
+  r.checkCount(count, 37);
   std::vector<FedTraceEntry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -504,7 +593,11 @@ std::vector<FedTraceEntry> decodeListTracesReply(
 }
 
 ByteWriter encodeAggregateReply(const AggregateReply& reply) {
-  ByteWriter w = okHeader();
+  std::size_t body = 4 + 3 * 40;  // run count, three distributions
+  for (const AggregateRun& run : reply.runs) {
+    body += 4 + lstringBytes(run.backend) + lstringBytes(run.name) + 24;
+  }
+  ByteWriter w = okHeader(body);
   w.u32(static_cast<std::uint32_t>(reply.runs.size()));
   for (const AggregateRun& run : reply.runs) {
     w.u32(run.globalId);
@@ -524,6 +617,7 @@ AggregateReply decodeAggregateReply(std::span<const std::uint8_t> payload) {
   ByteReader r = openReply(payload);
   AggregateReply reply;
   const std::uint32_t count = r.u32();
+  r.checkCount(count, 32);
   reply.runs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     AggregateRun run;
@@ -542,7 +636,8 @@ AggregateReply decodeAggregateReply(std::span<const std::uint8_t> payload) {
 }
 
 ByteWriter encodeCompareReply(const CompareReply& reply) {
-  ByteWriter w = okHeader();
+  ByteWriter w = okHeader(
+      20 + 8 * (reply.commDelta.size() + reply.imbalanceDelta.size()));
   w.u32(reply.bins);
   w.f64(reply.maxAbsCommDelta);
   w.f64(reply.maxAbsImbalanceDelta);
@@ -557,6 +652,7 @@ CompareReply decodeCompareReply(std::span<const std::uint8_t> payload) {
   reply.bins = r.u32();
   reply.maxAbsCommDelta = r.f64();
   reply.maxAbsImbalanceDelta = r.f64();
+  r.checkCount(reply.bins, 16);  // one f64 in each series
   reply.commDelta.reserve(reply.bins);
   reply.imbalanceDelta.reserve(reply.bins);
   for (std::uint32_t i = 0; i < reply.bins; ++i) {
@@ -573,6 +669,7 @@ CompareReply decodeCompareReply(std::span<const std::uint8_t> payload) {
 std::vector<std::uint8_t> encodeErrorReply(ErrorCode code,
                                            const std::string& message) {
   ByteWriter w;
+  w.reserve(1 + lstringBytes(message));
   w.u8(static_cast<std::uint8_t>(code));
   w.lstring(message);
   return w.take();
@@ -586,6 +683,9 @@ RequestOutcome dispatch(TraceService& service,
   ByteReader r(payload);
   const auto op = static_cast<Opcode>(r.u8());
   RequestOutcome outcome;
+  ReplyScratch& s = replyScratch();
+  s.frames.clear();
+  s.frameEnds.clear();
 
   switch (op) {
     case Opcode::kHello: {
@@ -604,7 +704,7 @@ RequestOutcome dispatch(TraceService& service,
         // A v1 client: reply with the exact v1 bytes and keep this
         // connection's frames row-encoded.
         ctx.frameEncoding = FrameEncoding::kRow;
-        ByteWriter w = okHeader();
+        ByteWriter w = okHeader(6);  // version, trace count
         w.u16(version);
         w.u32(service.traceCount());
         outcome.response = w.take();
@@ -626,7 +726,7 @@ RequestOutcome dispatch(TraceService& service,
                                 FrameEncoding::kColumnar)))
                               ? FrameEncoding::kColumnar
                               : FrameEncoding::kRow;
-      ByteWriter w = okHeader();
+      ByteWriter w = okHeader(7);  // version, trace count, encoding
       w.u16(kProtocolVersion);
       w.u32(service.traceCount());
       w.u8(static_cast<std::uint8_t>(ctx.frameEncoding));
@@ -635,11 +735,13 @@ RequestOutcome dispatch(TraceService& service,
     }
     case Opcode::kInfo: {
       const std::uint32_t traceId = r.u32();
-      ByteWriter w = okHeader();
+      const std::string& name = service.traceName(traceId);
+      // name, start, end, frame/state/thread counts
+      ByteWriter w = okHeader(lstringBytes(name) + 28);
+      w.lstring(name);
       if (service.isLive(traceId)) {
         const LiveFeed& feed = service.liveFeed(traceId);
         const auto [start, end] = feed.timeRange();
-        w.lstring(service.traceName(traceId));
         w.u64(start);
         w.u64(end);
         w.u32(static_cast<std::uint32_t>(feed.frameCount()));
@@ -647,7 +749,6 @@ RequestOutcome dispatch(TraceService& service,
         w.u32(static_cast<std::uint32_t>(feed.threads().size()));
       } else {
         const SlogReader& reader = service.trace(traceId);
-        w.lstring(reader.path());
         w.u64(reader.totalStart());
         w.u64(reader.totalEnd());
         w.u32(static_cast<std::uint32_t>(reader.frameIndex().size()));
@@ -665,12 +766,14 @@ RequestOutcome dispatch(TraceService& service,
       const std::vector<SlogStateDef>& states =
           service.isLive(traceId) ? liveStates
                                   : service.trace(traceId).states();
-      ByteWriter w = okHeader();
+      std::size_t body = 4;
+      for (const SlogStateDef& st : states) body += 8 + lstringBytes(st.name);
+      ByteWriter w = okHeader(body);
       w.u32(static_cast<std::uint32_t>(states.size()));
-      for (const SlogStateDef& s : states) {
-        w.u32(s.id);
-        w.u32(s.rgb);
-        w.lstring(s.name);
+      for (const SlogStateDef& st : states) {
+        w.u32(st.id);
+        w.u32(st.rgb);
+        w.lstring(st.name);
       }
       outcome.response = w.take();
       return outcome;
@@ -683,7 +786,7 @@ RequestOutcome dispatch(TraceService& service,
       const std::vector<ThreadEntry>& threads =
           service.isLive(traceId) ? liveThreads
                                   : service.trace(traceId).threads();
-      ByteWriter w = okHeader();
+      ByteWriter w = okHeader(4 + 21 * threads.size());  // 5 x i32, u8
       w.u32(static_cast<std::uint32_t>(threads.size()));
       for (const ThreadEntry& t : threads) {
         w.i32(t.task);
@@ -699,7 +802,11 @@ RequestOutcome dispatch(TraceService& service,
     case Opcode::kPreview: {
       const SlogReader& reader = service.trace(r.u32());
       const SlogPreview& p = reader.preview();
-      ByteWriter w = okHeader();
+      std::size_t body = 24;  // origin, bin width, bins, state count
+      for (const std::vector<double>& row : p.perStateBinTime) {
+        body += 8 * row.size();
+      }
+      ByteWriter w = okHeader(body);
       w.u64(p.origin);
       w.u64(p.binWidth);
       w.u32(p.bins);
@@ -712,25 +819,32 @@ RequestOutcome dispatch(TraceService& service,
     }
     case Opcode::kWindow: {
       const std::uint32_t traceId = r.u32();
-      WindowQuery query;
+      WindowQuery& query = s.query;
       query.t0 = r.u64();
       query.t1 = r.u64();
       const bool hasNode = r.u8() != 0;
       const NodeId node = r.i32();
+      query.node.reset();
       if (hasNode) query.node = node;
       const bool hasThread = r.u8() != 0;
       const LogicalThreadId thread = r.i32();
+      query.thread.reset();
       if (hasThread) query.thread = thread;
       const std::uint32_t nStates = r.u32();
-      query.states.reserve(nStates);
+      r.checkCount(nStates, 4);
+      query.states.clear();
       for (std::uint32_t i = 0; i < nStates; ++i) {
         query.states.push_back(r.u32());
       }
-      const WindowResult result = service.window(traceId, query);
-      ByteWriter w = okHeader();
+      WindowResult& result = s.window;
+      service.window(traceId, query, result);
+      const std::size_t frameBytes = stageFrameData(
+          s, result.intervals, result.arrows, ctx.frameEncoding);
+      ByteWriter w = okHeader(16 + frameBytes);  // t0, t1, frame
       w.u64(result.t0);
       w.u64(result.t1);
-      putFrameData(w, result.intervals, result.arrows, ctx.frameEncoding);
+      putFrameData(w, s, 0, result.intervals, result.arrows,
+                   ctx.frameEncoding);
       outcome.response = w.take();
       return outcome;
     }
@@ -738,14 +852,13 @@ RequestOutcome dispatch(TraceService& service,
       const std::uint32_t traceId = r.u32();
       const Tick t = r.u64();
       const FrameAtResult result = service.frameAt(traceId, t);
-      ByteWriter w = okHeader();
+      const std::size_t frameBytes =
+          stageFrameData(s, result.frame->intervals, result.frame->arrows,
+                         ctx.frameEncoding);
+      ByteWriter w = okHeader(4 + kEntryBytes + frameBytes);
       w.u32(static_cast<std::uint32_t>(result.frameIdx));
-      w.u64(result.entry.offset);
-      w.u32(result.entry.sizeBytes);
-      w.u32(result.entry.records);
-      w.u64(result.entry.timeStart);
-      w.u64(result.entry.timeEnd);
-      putFrameData(w, result.frame->intervals, result.frame->arrows,
+      putEntry(w, result.entry);
+      putFrameData(w, s, 0, result.frame->intervals, result.frame->arrows,
                    ctx.frameEncoding);
       outcome.response = w.take();
       return outcome;
@@ -754,9 +867,9 @@ RequestOutcome dispatch(TraceService& service,
       const std::uint32_t traceId = r.u32();
       const Tick t0 = r.u64();
       const Tick t1 = r.u64();
-      const std::vector<SummaryEntry> entries =
-          service.summary(traceId, t0, t1);
-      ByteWriter w = okHeader();
+      std::vector<SummaryEntry>& entries = s.summary;
+      service.summary(traceId, t0, t1, entries);
+      ByteWriter w = okHeader(4 + 12 * entries.size());  // u32, f64 each
       w.u32(static_cast<std::uint32_t>(entries.size()));
       for (const SummaryEntry& e : entries) {
         w.u32(e.stateId);
@@ -768,7 +881,7 @@ RequestOutcome dispatch(TraceService& service,
     case Opcode::kStats: {
       const FrameCache::Stats cache = service.cache().stats();
       const WorkerPool::Stats pool = service.pool().stats();
-      ByteWriter w = okHeader();
+      ByteWriter w = okHeader(64);  // 8 x u64
       w.u64(cache.hits);
       w.u64(cache.misses);
       w.u64(cache.evictions);
@@ -781,7 +894,7 @@ RequestOutcome dispatch(TraceService& service,
       return outcome;
     }
     case Opcode::kShutdown: {
-      outcome.response = okHeader().take();
+      outcome.response = okHeader(0).take();
       outcome.shutdown = true;
       return outcome;
     }
@@ -795,7 +908,7 @@ RequestOutcome dispatch(TraceService& service,
                                     "cap; request fewer bins");
         return outcome;
       }
-      ByteWriter w = okHeader();
+      ByteWriter w = okHeader(blob->size());
       w.bytes(*blob);
       outcome.response = w.take();
       return outcome;
@@ -806,24 +919,27 @@ RequestOutcome dispatch(TraceService& service,
       const std::uint32_t maxFrames = r.u32();
       const LiveFeed::TailFrames tail =
           service.tailFrames(traceId, cursor, maxFrames);
-      ByteWriter w = okHeader();
-      w.u64(tail.nextCursor);
-      w.u8(tail.finished ? 1 : 0);
-      w.u64(tail.watermark);
-      w.u32(static_cast<std::uint32_t>(tail.frames.size()));
+      std::size_t body = 21;  // cursor, finished, watermark, frame count
       for (const auto& [entry, data] : tail.frames) {
-        w.u64(entry.offset);
-        w.u32(entry.sizeBytes);
-        w.u32(entry.records);
-        w.u64(entry.timeStart);
-        w.u64(entry.timeEnd);
-        putFrameData(w, data->intervals, data->arrows, ctx.frameEncoding);
+        body += kEntryBytes + stageFrameData(s, data->intervals,
+                                             data->arrows, ctx.frameEncoding);
       }
-      if (w.size() > kMaxMessageBytes) {
+      if (1 + body > kMaxMessageBytes) {
         outcome.response = encodeErrorReply(
             ErrorCode::kBadRequest,
             "tail reply exceeds the message cap; request fewer frames");
         return outcome;
+      }
+      ByteWriter w = okHeader(body);
+      w.u64(tail.nextCursor);
+      w.u8(tail.finished ? 1 : 0);
+      w.u64(tail.watermark);
+      w.u32(static_cast<std::uint32_t>(tail.frames.size()));
+      for (std::size_t i = 0; i < tail.frames.size(); ++i) {
+        const auto& [entry, data] = tail.frames[i];
+        putEntry(w, entry);
+        putFrameData(w, s, i, data->intervals, data->arrows,
+                     ctx.frameEncoding);
       }
       outcome.response = w.take();
       return outcome;
@@ -831,16 +947,18 @@ RequestOutcome dispatch(TraceService& service,
     case Opcode::kTailMetrics: {
       const std::uint32_t traceId = r.u32();
       const LiveFeed::TailMetrics tail = service.tailMetrics(traceId);
-      ByteWriter w = okHeader();
-      w.u8(tail.finished ? 1 : 0);
-      w.u64(tail.watermark);
-      w.u32(tail.sealedBins);
-      w.bytes(tail.blob);
-      if (w.size() > kMaxMessageBytes) {
+      // finished, watermark, sealed bins, blob
+      const std::size_t body = 13 + tail.blob.size();
+      if (1 + body > kMaxMessageBytes) {
         outcome.response = encodeErrorReply(
             ErrorCode::kBadRequest, "metrics reply exceeds the message cap");
         return outcome;
       }
+      ByteWriter w = okHeader(body);
+      w.u8(tail.finished ? 1 : 0);
+      w.u64(tail.watermark);
+      w.u32(tail.sealedBins);
+      w.bytes(tail.blob);
       outcome.response = w.take();
       return outcome;
     }
@@ -888,7 +1006,7 @@ RequestOutcome processRequest(TraceService& service,
     return outcome;
   }
   try {
-    return dispatch(service, payload, ctx);
+    outcome = dispatch(service, payload, ctx);
   } catch (const UsageError& e) {
     outcome.response = encodeErrorReply(usageCode(e.what()), e.what());
   } catch (const CorruptFileError& e) {
@@ -900,6 +1018,7 @@ RequestOutcome processRequest(TraceService& service,
   } catch (const std::exception& e) {
     outcome.response = encodeErrorReply(ErrorCode::kInternal, e.what());
   }
+  replyScratch().trim();
   return outcome;
 }
 

@@ -1,7 +1,6 @@
 #include "server/trace_service.h"
 
 #include <algorithm>
-#include <map>
 
 #include "support/errors.h"
 
@@ -117,17 +116,18 @@ std::optional<std::pair<std::size_t, std::size_t>> TraceService::frameSpan(
   return std::make_pair(first, last);
 }
 
-WindowResult TraceService::window(std::uint32_t traceId,
-                                  const WindowQuery& query) {
+void TraceService::window(std::uint32_t traceId, const WindowQuery& query,
+                          WindowResult& out) {
   const SlogReader& reader = trace(traceId);
   if (query.t1 <= query.t0) {
     throw UsageError("window end must follow window start");
   }
-  WindowResult result;
-  result.t0 = std::max(query.t0, reader.totalStart());
-  result.t1 = std::min(query.t1, reader.totalEnd());
-  if (result.t1 <= result.t0) throw UsageError("window is outside the run");
-  const auto span = frameSpan(reader, result.t0, result.t1);
+  out.intervals.clear();
+  out.arrows.clear();
+  out.t0 = std::max(query.t0, reader.totalStart());
+  out.t1 = std::min(query.t1, reader.totalEnd());
+  if (out.t1 <= out.t0) throw UsageError("window is outside the run");
+  const auto span = frameSpan(reader, out.t0, out.t1);
   if (!span) throw UsageError("window is outside the run");
 
   const bool allStates = query.states.empty();
@@ -140,49 +140,67 @@ WindowResult TraceService::window(std::uint32_t traceId,
     const FrameCache::FramePtr data = frame(traceId, f);
     for (const SlogInterval& r : data->intervals) {
       if (r.pseudo && f != span->first) continue;  // merged restatement
-      if (!r.pseudo && (r.end() < result.t0 || r.start > result.t1)) continue;
+      if (!r.pseudo && (r.end() < out.t0 || r.start > out.t1)) continue;
       if (query.node && r.node != *query.node) continue;
       if (query.thread && r.thread != *query.thread) continue;
       if (!stateWanted(r.stateId)) continue;
-      result.intervals.push_back(r);
+      out.intervals.push_back(r);
     }
     for (const SlogArrow& a : data->arrows) {
-      if (a.recvTime < result.t0 || a.sendTime > result.t1) continue;
+      if (a.recvTime < out.t0 || a.sendTime > out.t1) continue;
       if (query.node && a.srcNode != *query.node && a.dstNode != *query.node)
         continue;
       if (query.thread && a.srcThread != *query.thread &&
           a.dstThread != *query.thread)
         continue;
-      result.arrows.push_back(a);
+      out.arrows.push_back(a);
     }
   }
+}
+
+WindowResult TraceService::window(std::uint32_t traceId,
+                                  const WindowQuery& query) {
+  WindowResult result;
+  window(traceId, query, result);
   return result;
 }
 
-std::vector<SummaryEntry> TraceService::summary(std::uint32_t traceId,
-                                                Tick t0, Tick t1) {
+void TraceService::summary(std::uint32_t traceId, Tick t0, Tick t1,
+                           std::vector<SummaryEntry>& out) {
   const SlogReader& reader = trace(traceId);
   if (t1 <= t0) throw UsageError("window end must follow window start");
   t0 = std::max(t0, reader.totalStart());
   t1 = std::min(t1, reader.totalEnd());
   if (t1 <= t0) throw UsageError("window is outside the run");
+  // `out` is the accumulator: kept sorted by stateId, one entry per
+  // state with time in the window, each summed in record order.
+  out.clear();
   const auto span = frameSpan(reader, t0, t1);
-  std::map<std::uint32_t, double> perState;
-  if (span) {
-    for (std::size_t f = span->first; f <= span->second; ++f) {
-      const FrameCache::FramePtr data = frame(traceId, f);
-      for (const SlogInterval& r : data->intervals) {
-        if (r.pseudo) continue;
-        const Tick lo = std::max(r.start, t0);
-        const Tick hi = std::min(r.end(), t1);
-        if (hi <= lo) continue;
-        perState[r.stateId] += static_cast<double>(hi - lo);
+  if (!span) return;
+  for (std::size_t f = span->first; f <= span->second; ++f) {
+    const FrameCache::FramePtr data = frame(traceId, f);
+    for (const SlogInterval& r : data->intervals) {
+      if (r.pseudo) continue;
+      const Tick lo = std::max(r.start, t0);
+      const Tick hi = std::min(r.end(), t1);
+      if (hi <= lo) continue;
+      auto it = std::lower_bound(
+          out.begin(), out.end(), r.stateId,
+          [](const SummaryEntry& e, std::uint32_t id) {
+            return e.stateId < id;
+          });
+      if (it == out.end() || it->stateId != r.stateId) {
+        it = out.insert(it, SummaryEntry{r.stateId, 0.0});
       }
+      it->ns += static_cast<double>(hi - lo);
     }
   }
+}
+
+std::vector<SummaryEntry> TraceService::summary(std::uint32_t traceId,
+                                                Tick t0, Tick t1) {
   std::vector<SummaryEntry> result;
-  result.reserve(perState.size());
-  for (const auto& [stateId, ns] : perState) result.push_back({stateId, ns});
+  summary(traceId, t0, t1, result);
   return result;
 }
 

@@ -122,7 +122,14 @@ class TraceService {
   /// Cached frame fetch (the unit the cache works in).
   FrameCache::FramePtr frame(std::uint32_t traceId, std::size_t frameIdx);
 
+  /// Fills `out`, reusing its storage: a caller that keeps one result
+  /// per thread answers warm windows without heap allocations.
+  void window(std::uint32_t traceId, const WindowQuery& query,
+              WindowResult& out);
   WindowResult window(std::uint32_t traceId, const WindowQuery& query);
+  /// Fills `out` (its storage reused), like window().
+  void summary(std::uint32_t traceId, Tick t0, Tick t1,
+               std::vector<SummaryEntry>& out);
   std::vector<SummaryEntry> summary(std::uint32_t traceId, Tick t0, Tick t1);
   /// Throws UsageError when no frame contains `t`.
   FrameAtResult frameAt(std::uint32_t traceId, Tick t);

@@ -5,6 +5,7 @@
 
 #include "slog/kernels.h"
 #include "support/errors.h"
+#include "support/scratch.h"
 
 namespace ute {
 
@@ -95,53 +96,63 @@ void encodeDeltaLane(const std::vector<std::uint64_t>& lane,
   }
 }
 
-/// Emits one column block: u8 id, u8 encoding, varint length, payload.
-/// Non-time columns deterministically pick the smaller of plain-varint
-/// and dictionary (dictionary in first-appearance order; plain wins ties).
-void emitColumn(std::uint8_t id, bool isTime,
-                const std::vector<std::uint64_t>& lane,
-                std::vector<std::uint8_t>& out,
-                std::vector<std::uint8_t>& scratch) {
-  scratch.clear();
+/// Emits the column in `s.lane` as one block: u8 id, u8 encoding, varint
+/// length, payload. Non-time columns deterministically pick the smaller
+/// of plain-varint and dictionary (dictionary in first-appearance order;
+/// plain wins ties).
+void emitColumn(std::uint8_t id, bool isTime, ColumnarScratch& s,
+                std::vector<std::uint8_t>& out) {
+  const std::vector<std::uint64_t>& lane = s.lane;
+  const std::vector<std::uint8_t>* block = &s.plain;
+  s.plain.clear();
   std::uint8_t encoding = kEncVarint;
   if (isTime) {
     encoding = kEncDelta;
-    encodeDeltaLane(lane, scratch);
+    encodeDeltaLane(lane, s.plain);
   } else {
-    encodePlainLane(lane, scratch);
+    encodePlainLane(lane, s.plain);
     // Dictionary candidate: distinct values in first-appearance order.
-    std::vector<std::uint64_t> dict;
-    std::vector<std::uint32_t> indexes;
-    indexes.reserve(lane.size());
+    s.dict.clear();
+    s.indexes.clear();
     bool viable = true;
     for (std::uint64_t v : lane) {
-      const auto it = std::find(dict.begin(), dict.end(), v);
-      if (it == dict.end()) {
-        if (dict.size() >= kMaxDictValues) {
+      const auto it = std::find(s.dict.begin(), s.dict.end(), v);
+      if (it == s.dict.end()) {
+        if (s.dict.size() >= kMaxDictValues) {
           viable = false;
           break;
         }
-        indexes.push_back(static_cast<std::uint32_t>(dict.size()));
-        dict.push_back(v);
+        s.indexes.push_back(static_cast<std::uint32_t>(s.dict.size()));
+        s.dict.push_back(v);
       } else {
-        indexes.push_back(static_cast<std::uint32_t>(it - dict.begin()));
+        s.indexes.push_back(static_cast<std::uint32_t>(it - s.dict.begin()));
       }
     }
     if (viable && !lane.empty()) {
-      std::vector<std::uint8_t> dictBytes;
-      putVarint(dictBytes, dict.size());
-      for (std::uint64_t v : dict) putVarint(dictBytes, v);
-      for (std::uint32_t idx : indexes) putVarint(dictBytes, idx);
-      if (dictBytes.size() < scratch.size()) {
+      s.dictEncoded.clear();
+      putVarint(s.dictEncoded, s.dict.size());
+      for (std::uint64_t v : s.dict) putVarint(s.dictEncoded, v);
+      for (std::uint32_t idx : s.indexes) putVarint(s.dictEncoded, idx);
+      if (s.dictEncoded.size() < s.plain.size()) {
         encoding = kEncDict;
-        scratch.swap(dictBytes);
+        block = &s.dictEncoded;
       }
     }
   }
   out.push_back(id);
   out.push_back(encoding);
-  putVarint(out, scratch.size());
-  out.insert(out.end(), scratch.begin(), scratch.end());
+  putVarint(out, block->size());
+  out.insert(out.end(), block->begin(), block->end());
+}
+
+/// Releases every scratch buffer above kScratchKeepBytes.
+void trim(ColumnarScratch& s) {
+  releaseIfLarge(s.lane);
+  releaseIfLarge(s.plain);
+  releaseIfLarge(s.dictEncoded);
+  releaseIfLarge(s.dict);
+  releaseIfLarge(s.indexes);
+  for (std::vector<std::uint64_t>& l : s.lanes) releaseIfLarge(l);
 }
 
 std::uint64_t packFlags(const SlogInterval& r) {
@@ -153,25 +164,25 @@ std::uint64_t packFlags(const SlogInterval& r) {
 
 void encodeColumnarFrame(std::span<const SlogInterval> intervals,
                          std::span<const SlogArrow> arrows,
-                         std::vector<std::uint8_t>& out) {
+                         std::vector<std::uint8_t>& out,
+                         ColumnarScratch& scratch) {
   putVarint(out, intervals.size());
   putVarint(out, arrows.size());
 
-  std::vector<std::uint64_t> lane;
-  std::vector<std::uint8_t> scratch;
+  std::vector<std::uint64_t>& lane = scratch.lane;
   const auto column = [&](std::uint8_t id, bool isTime, auto&& get) {
     lane.clear();
     if (id < 16) {
       lane.reserve(intervals.size());
       for (const SlogInterval& r : intervals) lane.push_back(get(r));
     }
-    emitColumn(id, isTime, lane, out, scratch);
+    emitColumn(id, isTime, scratch, out);
   };
   const auto arrowColumn = [&](std::uint8_t id, bool isTime, auto&& get) {
     lane.clear();
     lane.reserve(arrows.size());
     for (const SlogArrow& a : arrows) lane.push_back(get(a));
-    emitColumn(id, isTime, lane, out, scratch);
+    emitColumn(id, isTime, scratch, out);
   };
 
   if (!intervals.empty()) {
@@ -207,12 +218,22 @@ void encodeColumnarFrame(std::span<const SlogInterval> intervals,
     arrowColumn(kColBytes, false,
                 [](const SlogArrow& a) { return std::uint64_t{a.bytes}; });
   }
+  trim(scratch);
 }
 
 namespace {
 
 void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
-                std::size_t count, std::vector<std::uint64_t>& lane) {
+                std::size_t count, std::vector<std::uint64_t>& lane,
+                std::vector<std::uint64_t>& dict) {
+  // Every encoding spends at least one byte per record, so a count the
+  // block cannot hold is corruption, caught before it sizes the lane
+  // (which keeps a reused lane within 8x its column block).
+  if (count > block.size()) {
+    throw FormatError("column block of " + std::to_string(block.size()) +
+                      " bytes cannot hold " + std::to_string(count) +
+                      " records");
+  }
   lane.resize(count);
   std::size_t pos = 0;
   switch (encoding) {
@@ -238,7 +259,7 @@ void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
       if (dictSize > count && dictSize > kMaxDictValues) {
         throw FormatError("columnar dictionary larger than the column");
       }
-      std::vector<std::uint64_t> dict(static_cast<std::size_t>(dictSize));
+      dict.resize(static_cast<std::size_t>(dictSize));
       for (std::uint64_t& v : dict) v = getVarint(block, pos);
       for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t idx = getVarint(block, pos);
@@ -263,129 +284,123 @@ void decodeLane(std::span<const std::uint8_t> block, std::uint8_t encoding,
 }  // namespace
 
 void decodeColumnarFrame(std::span<const std::uint8_t> payload,
-                         SlogFrameData& out, const std::string& context) {
-  const auto fail = [&context](const std::string& what) -> void {
-    throw FormatError("corrupt columnar SLOG frame: " + what + context);
+                         SlogFrameData& out, ColumnarScratch& scratch) {
+  const auto fail = [](const std::string& what) -> void {
+    throw FormatError("corrupt columnar SLOG frame: " + what);
   };
-  try {
-    out.intervals.clear();
-    out.arrows.clear();
-    std::size_t pos = 0;
-    const std::uint64_t nIntervals = getVarint(payload, pos);
-    const std::uint64_t nArrows = getVarint(payload, pos);
-    // Every present column spends at least one byte per record, so a
-    // claimed record count beyond the payload size is corruption — and
-    // must be rejected before it sizes any allocation.
-    if (nIntervals > payload.size() || nArrows > payload.size()) {
-      fail("record count exceeds payload size");
-    }
-
-    // Lanes indexed by column id; ids outside the known set are skipped
-    // by their recorded length.
-    std::array<std::vector<std::uint64_t>, 23> lanes;
-    std::array<bool, 23> seen{};
-    const auto known = [](std::uint8_t id) {
-      return id <= kColThread || (id >= kColSrcNode && id <= kColBytes);
-    };
-    while (pos < payload.size()) {
-      if (payload.size() - pos < 2) fail("truncated column header");
-      const std::uint8_t id = payload[pos++];
-      const std::uint8_t encoding = payload[pos++];
-      const std::uint64_t len = getVarint(payload, pos);
-      if (len > payload.size() - pos) fail("column block exceeds payload");
-      const std::span<const std::uint8_t> block =
-          payload.subspan(pos, static_cast<std::size_t>(len));
-      pos += static_cast<std::size_t>(len);
-      if (!known(id)) continue;
-      if (seen[id]) fail("duplicate column " + std::to_string(id));
-      const std::size_t count = static_cast<std::size_t>(
-          id < 16 ? nIntervals : nArrows);
-      decodeLane(block, encoding, count, lanes[id]);
-      seen[id] = true;
-    }
-
-    if (nIntervals > 0) {
-      for (std::uint8_t id = kColStateId; id <= kColThread; ++id) {
-        if (!seen[id]) fail("missing interval column " + std::to_string(id));
-      }
-    }
-    if (nArrows > 0) {
-      for (std::uint8_t id = kColSrcNode; id <= kColBytes; ++id) {
-        if (!seen[id]) fail("missing arrow column " + std::to_string(id));
-      }
-    }
-
-    // Column-to-struct transpose: one tight loop per field over its lane
-    // (the autovectorizable shape the columnar layout exists for).
-    out.intervals.resize(static_cast<std::size_t>(nIntervals));
-    if (nIntervals > 0) {
-      SlogInterval* iv = out.intervals.data();
-      const std::size_t n = out.intervals.size();
-      if (kernels::laneOr(lanes[kColFlags].data(), n) & ~0x1ffull) {
-        fail("interval flags column has unknown bits");
-      }
-      const std::uint64_t* lane = lanes[kColStateId].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].stateId = static_cast<std::uint32_t>(lane[i]);
-      }
-      lane = lanes[kColFlags].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].bebits = static_cast<std::uint8_t>(lane[i]);
-        iv[i].pseudo = (lane[i] & 0x100) != 0;
-      }
-      lane = lanes[kColStart].data();
-      for (std::size_t i = 0; i < n; ++i) iv[i].start = lane[i];
-      lane = lanes[kColDura].data();
-      for (std::size_t i = 0; i < n; ++i) iv[i].dura = lane[i];
-      lane = lanes[kColNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].node = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColCpu].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].cpu = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        iv[i].thread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-    }
-
-    out.arrows.resize(static_cast<std::size_t>(nArrows));
-    if (nArrows > 0) {
-      SlogArrow* ar = out.arrows.data();
-      const std::size_t n = out.arrows.size();
-      const std::uint64_t* lane = lanes[kColSrcNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].srcNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColSrcThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].srcThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColSendTime].data();
-      for (std::size_t i = 0; i < n; ++i) ar[i].sendTime = lane[i];
-      lane = lanes[kColDstNode].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].dstNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColDstThread].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].dstThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
-      }
-      lane = lanes[kColRecvTime].data();
-      for (std::size_t i = 0; i < n; ++i) ar[i].recvTime = lane[i];
-      lane = lanes[kColBytes].data();
-      for (std::size_t i = 0; i < n; ++i) {
-        ar[i].bytes = static_cast<std::uint32_t>(lane[i]);
-      }
-    }
-  } catch (const FormatError& e) {
-    if (context.empty()) throw;
-    std::string what = e.what();
-    if (what.find(context) != std::string::npos) throw;
-    throw FormatError(what + context);
+  out.intervals.clear();
+  out.arrows.clear();
+  std::size_t pos = 0;
+  const std::uint64_t nIntervals = getVarint(payload, pos);
+  const std::uint64_t nArrows = getVarint(payload, pos);
+  // Every present column spends at least one byte per record, so a
+  // claimed record count beyond the payload size is corruption — and
+  // must be rejected before it sizes any allocation.
+  if (nIntervals > payload.size() || nArrows > payload.size()) {
+    fail("record count exceeds payload size");
   }
+
+  // Lanes indexed by column id; ids outside the known set are skipped
+  // by their recorded length.
+  std::array<std::vector<std::uint64_t>, 23>& lanes = scratch.lanes;
+  std::array<bool, 23> seen{};
+  const auto known = [](std::uint8_t id) {
+    return id <= kColThread || (id >= kColSrcNode && id <= kColBytes);
+  };
+  while (pos < payload.size()) {
+    if (payload.size() - pos < 2) fail("truncated column header");
+    const std::uint8_t id = payload[pos++];
+    const std::uint8_t encoding = payload[pos++];
+    const std::uint64_t len = getVarint(payload, pos);
+    if (len > payload.size() - pos) fail("column block exceeds payload");
+    const std::span<const std::uint8_t> block =
+        payload.subspan(pos, static_cast<std::size_t>(len));
+    pos += static_cast<std::size_t>(len);
+    if (!known(id)) continue;
+    if (seen[id]) fail("duplicate column " + std::to_string(id));
+    const std::size_t count = static_cast<std::size_t>(
+        id < 16 ? nIntervals : nArrows);
+    decodeLane(block, encoding, count, lanes[id], scratch.dict);
+    seen[id] = true;
+  }
+
+  if (nIntervals > 0) {
+    for (std::uint8_t id = kColStateId; id <= kColThread; ++id) {
+      if (!seen[id]) fail("missing interval column " + std::to_string(id));
+    }
+  }
+  if (nArrows > 0) {
+    for (std::uint8_t id = kColSrcNode; id <= kColBytes; ++id) {
+      if (!seen[id]) fail("missing arrow column " + std::to_string(id));
+    }
+  }
+
+  // Column-to-struct transpose: one tight loop per field over its lane
+  // (the autovectorizable shape the columnar layout exists for).
+  out.intervals.resize(static_cast<std::size_t>(nIntervals));
+  if (nIntervals > 0) {
+    SlogInterval* iv = out.intervals.data();
+    const std::size_t n = out.intervals.size();
+    if (kernels::laneOr(lanes[kColFlags].data(), n) & ~0x1ffull) {
+      fail("interval flags column has unknown bits");
+    }
+    const std::uint64_t* lane = lanes[kColStateId].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      iv[i].stateId = static_cast<std::uint32_t>(lane[i]);
+    }
+    lane = lanes[kColFlags].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      iv[i].bebits = static_cast<std::uint8_t>(lane[i]);
+      iv[i].pseudo = (lane[i] & 0x100) != 0;
+    }
+    lane = lanes[kColStart].data();
+    for (std::size_t i = 0; i < n; ++i) iv[i].start = lane[i];
+    lane = lanes[kColDura].data();
+    for (std::size_t i = 0; i < n; ++i) iv[i].dura = lane[i];
+    lane = lanes[kColNode].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      iv[i].node = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColCpu].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      iv[i].cpu = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColThread].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      iv[i].thread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+  }
+
+  out.arrows.resize(static_cast<std::size_t>(nArrows));
+  if (nArrows > 0) {
+    SlogArrow* ar = out.arrows.data();
+    const std::size_t n = out.arrows.size();
+    const std::uint64_t* lane = lanes[kColSrcNode].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      ar[i].srcNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColSrcThread].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      ar[i].srcThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColSendTime].data();
+    for (std::size_t i = 0; i < n; ++i) ar[i].sendTime = lane[i];
+    lane = lanes[kColDstNode].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      ar[i].dstNode = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColDstThread].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      ar[i].dstThread = static_cast<std::int32_t>(zigzagDecode(lane[i]));
+    }
+    lane = lanes[kColRecvTime].data();
+    for (std::size_t i = 0; i < n; ++i) ar[i].recvTime = lane[i];
+    lane = lanes[kColBytes].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      ar[i].bytes = static_cast<std::uint32_t>(lane[i]);
+    }
+  }
+  trim(scratch);
 }
 
 void encodeRowInterval(std::vector<std::uint8_t>& out,

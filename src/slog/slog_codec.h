@@ -16,9 +16,9 @@
 // other layer encodes through encodeColumnarFrame()/decodeColumnarFrame().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "slog/slog_format.h"
@@ -55,21 +55,42 @@ constexpr std::int64_t zigzagDecode(std::uint64_t v) {
 
 // --- columnar (v2) frame payloads ------------------------------------------
 
+/// Working memory the columnar codec reuses from frame to frame, so
+/// that a long-lived owner (a SLOG writer, a reader thread, a server
+/// worker) encodes and decodes frames without heap allocations once its
+/// scratch has seen a frame as large. Nothing carries over from one call
+/// to the next: output never depends on what a scratch served before.
+/// After each call, any buffer above kScratchKeepBytes is released
+/// (support/scratch.h), so an idle scratch retains a bounded amount of
+/// memory. A scratch serves one thread at a time. The members are the
+/// codec's own business.
+struct ColumnarScratch {
+  // Encode: one column at a time.
+  std::vector<std::uint64_t> lane;
+  std::vector<std::uint8_t> plain;  ///< the column as plain/delta varints
+  std::vector<std::uint8_t> dictEncoded;  ///< the column as a dictionary
+  std::vector<std::uint64_t> dict;  ///< distinct values (decode: the table)
+  std::vector<std::uint32_t> indexes;
+  // Decode: one lane per column id.
+  std::array<std::vector<std::uint64_t>, 23> lanes;
+};
+
 /// Encodes one frame's records as a v2 columnar payload, appended to
 /// `out`. Deterministic: the same records always produce the same bytes
 /// (dictionary use is decided by a fixed size comparison, dictionary
 /// order is first appearance).
 void encodeColumnarFrame(std::span<const SlogInterval> intervals,
                          std::span<const SlogArrow> arrows,
-                         std::vector<std::uint8_t>& out);
+                         std::vector<std::uint8_t>& out,
+                         ColumnarScratch& scratch);
 
 /// Decodes a v2 columnar payload into `out` (cleared first). Throws
-/// FormatError on malformed input — truncated varints, bad dictionary
-/// indexes, missing required columns, trailing bytes. `context` (e.g.
-/// "path @offset") is appended to error messages when non-empty.
+/// FormatError on malformed input — truncated varints, record counts a
+/// column block is too short to hold, bad dictionary indexes, missing
+/// required columns, trailing bytes — before any count sizes a buffer.
+/// Messages carry no location; callers append theirs (e.g. ioContext).
 void decodeColumnarFrame(std::span<const std::uint8_t> payload,
-                         SlogFrameData& out,
-                         const std::string& context = std::string());
+                         SlogFrameData& out, ColumnarScratch& scratch);
 
 /// Row (v1) record payloads: the exact layout SLOG v1 frames and the v1
 /// wire protocol use. Kept here so the writer, reader and protocol share

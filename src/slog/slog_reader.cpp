@@ -126,6 +126,7 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
   preview_.origin = pr.u64();
   preview_.binWidth = pr.u64();
   preview_.bins = pr.u32();
+  pr.checkCount(stateCount, std::uint64_t{8} * preview_.bins);
   preview_.perStateBinTime.reserve(stateCount);
   for (std::uint32_t s = 0; s < stateCount; ++s) {
     std::vector<double> row(preview_.bins);
@@ -163,8 +164,14 @@ SlogFramePtr SlogReader::readFrame(std::size_t frameIdx) const {
   auto data = std::make_shared<SlogFrameData>();
   if (entry.encoding ==
       static_cast<std::uint32_t>(FrameEncoding::kColumnar)) {
-    decodeColumnarFrame(bytes.bytes(), *data,
-                        ioContext(path(), entry.offset));
+    // readFrame is const and called concurrently, so each calling
+    // thread (server worker, metrics scan) keeps its own codec scratch.
+    thread_local ColumnarScratch scratch;
+    try {
+      decodeColumnarFrame(bytes.bytes(), *data, scratch);
+    } catch (const FormatError& e) {
+      throw FormatError(e.what() + ioContext(path(), entry.offset));
+    }
     if (data->intervals.size() + data->arrows.size() != entry.records) {
       throw CorruptFileError(
           "corrupt SLOG file: frame record count mismatch" +

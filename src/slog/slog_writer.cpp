@@ -234,7 +234,7 @@ void SlogWriter::finalizeFrame() {
     // one pass at seal time (column grouping needs every record).
     frameBytes_.clear();
     encodeColumnarFrame(frameData_.intervals, frameData_.arrows,
-                        frameBytes_);
+                        frameBytes_, codecScratch_);
   }
   SlogFrameIndexEntry entry;
   entry.offset = file_.tell();

@@ -16,6 +16,7 @@
 #include "interval/profile.h"
 #include "interval/record.h"
 #include "slog/preview.h"
+#include "slog/slog_codec.h"
 #include "slog/slog_format.h"
 #include "support/file_io.h"
 
@@ -105,6 +106,7 @@ class SlogWriter {
   /// seal time, so it always accumulates records here; v1 encodes rows
   /// incrementally into frameBytes_ and fills this only for a seal hook.
   SlogFrameData frameData_;
+  ColumnarScratch codecScratch_;
   FrameSealHook sealHook_;
   std::uint32_t frameRecords_ = 0;
   Tick frameTimeStart_ = 0;

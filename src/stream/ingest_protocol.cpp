@@ -142,6 +142,7 @@ std::vector<ThreadEntry> decodeIngestThreads(
     ByteReader r(payload);
     expectOp(r, IngestOp::kThreads, "thread table");
     const std::uint32_t count = r.u32();
+    r.checkCount(count, 21);
     std::vector<ThreadEntry> threads;
     threads.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -176,6 +177,7 @@ IngestClockPairs decodeIngestClockPairs(
     IngestClockPairs out;
     out.final = r.u8() != 0;
     const std::uint32_t count = r.u32();
+    r.checkCount(count, 16);
     out.pairs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       TimestampPair p;
@@ -193,6 +195,7 @@ std::vector<std::vector<std::uint8_t>> decodeIngestRecords(
     ByteReader r(payload);
     expectOp(r, IngestOp::kRecords, "record batch");
     const std::uint32_t count = r.u32();
+    r.checkCount(count, 4);  // each body's u32 length
     std::vector<std::vector<std::uint8_t>> bodies;
     bodies.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -1,5 +1,6 @@
 #include "support/bytes.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace ute {
@@ -41,6 +42,17 @@ std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
   auto out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+void ByteReader::checkCount(std::uint64_t count,
+                            std::uint64_t minItemBytes) const {
+  if (count > remaining() / std::max<std::uint64_t>(minItemBytes, 1)) {
+    throw FormatError("ByteReader: count " + std::to_string(count) +
+                      " of " + std::to_string(minItemBytes) +
+                      "-byte items overruns the " +
+                      std::to_string(remaining()) + " bytes left at offset " +
+                      std::to_string(pos_));
+  }
 }
 
 void ByteReader::skip(std::size_t n) {

@@ -51,6 +51,9 @@ class ByteWriter {
 
   std::size_t size() const { return buf_.size(); }
   bool empty() const { return buf_.empty(); }
+  /// Pre-sizes the buffer for `n` bytes in total, so a writer whose final
+  /// size is known grows once instead of doubling byte by byte.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void clear() { buf_.clear(); }
   std::span<const std::uint8_t> view() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -92,6 +95,11 @@ class ByteReader {
 
   std::span<const std::uint8_t> bytes(std::size_t n);
   void skip(std::size_t n);
+
+  /// Guards an element count read from the input before it sizes any
+  /// buffer: throws FormatError unless `count` items of at least
+  /// `minItemBytes` bytes each fit in the bytes left.
+  void checkCount(std::uint64_t count, std::uint64_t minItemBytes) const;
 
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }

@@ -201,6 +201,45 @@ TEST(Metrics, LateSenderTimeFromMatchedArrow) {
   EXPECT_EQ(m.lateSenderTotalNs(0), 500u);
 }
 
+/// Receive intervals that share (node, thread, end): the arrow ending
+/// there is matched to the first of them in frame order.
+TEST(Metrics, FirstReceiveWinsOnSharedEndKey) {
+  const auto recvInterval = [](EventType event, Tick start, Tick end,
+                               NodeId node) {
+    SlogInterval r;
+    r.stateId = static_cast<std::uint32_t>(event);
+    r.bebits = static_cast<std::uint8_t>(Bebits::kComplete);
+    r.start = start;
+    r.dura = end - start;
+    r.node = node;
+    return r;
+  };
+  const SlogInterval early = recvInterval(EventType::kMpiRecv, 500, 1800, 1);
+  const SlogInterval late = recvInterval(EventType::kMpiWait, 1200, 1800, 1);
+  // Same end on the other node: a key without the node would collide.
+  const SlogInterval other = recvInterval(EventType::kMpiIrecv, 100, 1800, 0);
+  SlogArrow arrow;
+  arrow.srcNode = 0;
+  arrow.dstNode = 1;
+  arrow.sendTime = 1000;
+  arrow.recvTime = 1800;
+  arrow.bytes = 64;
+
+  const auto lateSender = [&](std::vector<SlogInterval> intervals) {
+    MetricsStore m(0, 2000, 1, twoTaskThreads());
+    SlogFrameData frame;
+    frame.intervals = std::move(intervals);
+    frame.arrows = {arrow};
+    m.addFrame(frame);
+    EXPECT_EQ(m.lateSenderNs(0, 0), 0u);
+    return m.lateSenderNs(0, 1);
+  };
+  EXPECT_EQ(lateSender({other, early, late}), 500u);  // 1000 - 500
+  EXPECT_EQ(lateSender({late, other, early}), 0u);    // 1000 < 1200
+  EXPECT_EQ(lateSender({early, late, early}), 500u);
+  EXPECT_EQ(lateSender({late, early, late}), 0u);
+}
+
 TEST(Metrics, NoLateSenderWhenSendPrecedesReceive) {
   const Profile profile = makeStandardProfile();
   const std::string path = tempPath("metrics_notlate.slog");

@@ -1,6 +1,10 @@
 // Allocation budgets of the per-record path (docs/PIPELINE.md): convert,
 // merge, statistics and the SVG renderer write into buffers they keep,
 // so the heap allocations a stage makes do not grow with its records.
+// The query path (docs/SERVER.md) is held to per-request budgets the
+// same way: processRequest() answers a warm request with one allocation,
+// its reply, and a frame decode or a metrics scan costs a fixed handful
+// per frame.
 // This binary counts every allocation through its own global operator
 // new. It runs the golden 4-node test program (the trace the parallel
 // pipeline and metrics oracle tests use) at --jobs 1, and the same
@@ -18,8 +22,10 @@
 
 #include "convert/converter.h"
 #include "interval/file_reader.h"
+#include "interval/field.h"
 #include "interval/standard_profile.h"
 #include "merge/merger.h"
+#include "server/protocol.h"
 #include "slog/slog_reader.h"
 #include "stats/engine.h"
 #include "viz/svg_render.h"
@@ -192,6 +198,121 @@ TEST_F(AllocBudget, RenderSvgPerView) {
   }
   EXPECT_GT(views, 10u);
 }
+
+ServiceOptions oneWorker() {
+  ServiceOptions options;
+  options.workers = 1;
+  return options;
+}
+
+TEST_F(AllocBudget, FirstMetricsPerFrame) {
+  // A first metrics request on a cold service reads every frame through
+  // the frame cache and accumulates it into the store.
+  const auto firstMetrics = [](const std::string& slog) {
+    TraceService service({slog}, oneWorker());
+    const ByteWriter request = encodeMetricsRequest(0, 240);
+    return allocationsOf([&] { processRequest(service, request.view()); });
+  };
+  const auto frames = [](const std::string& slog) {
+    return static_cast<std::uint64_t>(SlogReader(slog).frameIndex().size());
+  };
+  EXPECT_LE(marginal(firstMetrics(golden_->slogFile),
+                     firstMetrics(long_->slogFile), frames(golden_->slogFile),
+                     frames(long_->slogFile)),
+            6.0);
+}
+
+// --- query path on the committed golden SLOG ------------------------------
+
+/// Allocations of a warm window, frame-at, summary or metrics request:
+/// the reply vector, plus one to spare.
+constexpr std::uint64_t kWarmRequestAllocs = 2;
+/// Extra allocations of a frame-cache miss: the shared frame, its two
+/// record vectors, and the cache's list and index nodes.
+constexpr std::uint64_t kAllocsPerMiss = 5;
+
+std::string goldenSlog() {
+  return std::string(UTE_TEST_DATA_DIR) + "/golden_v2.slog";
+}
+
+class QueryAllocBudget : public ::testing::TestWithParam<FrameEncoding> {
+ protected:
+  ConnectionContext context() const {
+    ConnectionContext ctx;
+    ctx.frameEncoding = GetParam();
+    return ctx;
+  }
+};
+
+TEST_P(QueryAllocBudget, WarmRequestAllocatesOnlyItsReply) {
+  TraceService service({goldenSlog()}, oneWorker());
+  ConnectionContext ctx = context();
+  const auto window = [](Tick t0, Tick t1) {
+    WindowQuery q;
+    q.t0 = t0;
+    q.t1 = t1;
+    return q;
+  };
+  std::vector<std::pair<std::string, ByteWriter>> requests;
+  requests.emplace_back("window whole run",
+                        encodeWindowRequest(0, window(0, 300 * kMs)));
+  requests.emplace_back("window 40-90ms",
+                        encodeWindowRequest(0, window(40 * kMs, 90 * kMs)));
+  WindowQuery filtered = window(10 * kMs, 200 * kMs);
+  filtered.node = 1;
+  filtered.thread = 0;
+  filtered.states = {static_cast<std::uint32_t>(kRunningState), 4, 5};
+  requests.emplace_back("window filtered", encodeWindowRequest(0, filtered));
+  requests.emplace_back("frame-at", encodeFrameAtRequest(0, 75 * kMs));
+  requests.emplace_back("summary whole run",
+                        encodeSummaryRequest(0, 0, 300 * kMs));
+  requests.emplace_back("summary 40-60ms",
+                        encodeSummaryRequest(0, 40 * kMs, 60 * kMs));
+  requests.emplace_back("metrics", encodeMetricsRequest(0, 60));
+  for (const auto& [name, request] : requests) {
+    processRequest(service, request.view(), ctx);  // fill cache, scratch
+  }
+  for (const auto& [name, request] : requests) {
+    EXPECT_LE(allocationsOf([&] {
+                processRequest(service, request.view(), ctx);
+              }),
+              kWarmRequestAllocs)
+        << name;
+  }
+}
+
+TEST_P(QueryAllocBudget, FrameDecodePerMiss) {
+  // A one-byte cache keeps only the frame it loaded last, so asking for
+  // each frame in turn misses every time.
+  ServiceOptions options = oneWorker();
+  options.cacheBytes = 1;
+  options.cacheShards = 1;
+  TraceService service({goldenSlog()}, options);
+  ConnectionContext ctx = context();
+  const SlogReader reader(goldenSlog());
+  std::vector<ByteWriter> requests;
+  for (const SlogFrameIndexEntry& e : reader.frameIndex()) {
+    requests.push_back(encodeFrameAtRequest(0, e.timeStart + 1));
+  }
+  ASSERT_GE(requests.size(), 4u);
+  for (const ByteWriter& r : requests) processRequest(service, r.view(), ctx);
+  const std::uint64_t missesBefore = service.cache().stats().misses;
+  const std::uint64_t allocations = allocationsOf([&] {
+    for (const ByteWriter& r : requests) {
+      processRequest(service, r.view(), ctx);
+    }
+  });
+  ASSERT_EQ(service.cache().stats().misses - missesBefore, requests.size());
+  EXPECT_LE(allocations,
+            requests.size() * (kWarmRequestAllocs + kAllocsPerMiss));
+}
+
+INSTANTIATE_TEST_SUITE_P(Encodings, QueryAllocBudget,
+                         ::testing::Values(FrameEncoding::kRow,
+                                           FrameEncoding::kColumnar),
+                         [](const auto& p) {
+                           return std::string(frameEncodingName(p.param));
+                         });
 
 }  // namespace
 }  // namespace ute

@@ -323,6 +323,66 @@ TEST_F(ProtocolTest, MalformedBytesAreBadRequests) {
   }
 }
 
+/// Counts a peer declares must fit the bytes behind them: a hostile
+/// count becomes a typed error before it sizes any allocation.
+TEST_F(ProtocolTest, HostileWireCountsAreBadRequests) {
+  for (const std::uint32_t count : {0xFFFFFFFFu, 0x3FFFFFFFu}) {
+    ByteWriter window;
+    window.u8(static_cast<std::uint8_t>(Opcode::kWindow));
+    window.u32(0);
+    window.u64(0);
+    window.u64(50 * kMs);
+    window.u8(0);
+    window.i32(0);
+    window.u8(0);
+    window.i32(0);
+    window.u32(count);  // state ids that are not there
+    window.u32(1);
+    try {
+      decodeWindowReply(exec(window));
+      FAIL() << "state count " << count << " accepted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
+    }
+
+    // Client side: an ok reply whose count runs past its bytes.
+    const auto reply = [count](std::size_t fixedBytes) {
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
+      for (std::size_t i = 0; i < fixedBytes; ++i) w.u8(0);
+      w.u32(count);
+      w.u64(0);  // a few trailing bytes, far short of `count` items
+      return w;
+    };
+    EXPECT_THROW(decodeStatesReply(reply(0).view()), FormatError);
+    EXPECT_THROW(decodeThreadsReply(reply(0).view()), FormatError);
+    EXPECT_THROW(decodeSummaryReply(reply(0).view()), FormatError);
+    EXPECT_THROW(decodeListTracesReply(reply(0).view()), FormatError);
+    EXPECT_THROW(decodeAggregateReply(reply(0).view()), FormatError);
+    // tail-frames: cursor, finished, watermark, then the frame count.
+    EXPECT_THROW(decodeTailFramesReply(reply(17).view()), FormatError);
+    // window (row frames): t0, t1, then the interval count.
+    EXPECT_THROW(decodeWindowReply(reply(16).view()), FormatError);
+    // compare: the bin count, then two f64 maxima before the series.
+    ByteWriter compare;
+    compare.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
+    compare.u32(count);
+    compare.f64(0);
+    compare.f64(0);
+    compare.u64(0);
+    EXPECT_THROW(decodeCompareReply(compare.view()), FormatError);
+    // preview: origin, bin width, `count` bins, one state row.
+    ByteWriter preview;
+    preview.u8(static_cast<std::uint8_t>(ErrorCode::kOk));
+    preview.u64(0);
+    preview.u64(1);
+    preview.u32(count);
+    preview.u32(1);
+    preview.u64(0);
+    EXPECT_THROW(decodePreviewReply(preview.view()), FormatError);
+  }
+}
+
 TEST_F(ProtocolTest, ShutdownOpcodeSignalsOutcome) {
   const RequestOutcome outcome =
       processRequest(*service_, encodeShutdownRequest().view());

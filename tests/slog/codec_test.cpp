@@ -140,6 +140,7 @@ SlogArrow randomArrow(Rng& rng) {
 /// record mixes (empty, intervals only, arrows only, both, extremes).
 TEST(SlogCodec, RandomFramesRoundTripExactly) {
   Rng rng(20260809);
+  ColumnarScratch scratch;  // shared by every round, as a writer's is
   for (int round = 0; round < 200; ++round) {
     SlogFrameData frame;
     const std::size_t nIntervals =
@@ -153,10 +154,10 @@ TEST(SlogCodec, RandomFramesRoundTripExactly) {
       frame.arrows.push_back(randomArrow(rng));
     }
     std::vector<std::uint8_t> payload;
-    encodeColumnarFrame(frame.intervals, frame.arrows, payload);
+    encodeColumnarFrame(frame.intervals, frame.arrows, payload, scratch);
 
     SlogFrameData decoded;
-    decodeColumnarFrame(payload, decoded);
+    decodeColumnarFrame(payload, decoded, scratch);
     ASSERT_EQ(decoded.intervals.size(), frame.intervals.size())
         << "round " << round;
     ASSERT_EQ(decoded.arrows.size(), frame.arrows.size()) << "round " << round;
@@ -169,19 +170,22 @@ TEST(SlogCodec, RandomFramesRoundTripExactly) {
           << "round " << round << " arrow " << i;
     }
 
-    // Determinism: re-encoding the decoded frame reproduces the bytes.
+    // Determinism: re-encoding the decoded frame, with a scratch that
+    // has seen nothing, reproduces the bytes.
     std::vector<std::uint8_t> again;
-    encodeColumnarFrame(decoded.intervals, decoded.arrows, again);
+    ColumnarScratch fresh;
+    encodeColumnarFrame(decoded.intervals, decoded.arrows, again, fresh);
     EXPECT_EQ(again, payload) << "round " << round;
   }
 }
 
 TEST(SlogCodec, EmptyFrameIsTwoZeroCounts) {
   std::vector<std::uint8_t> payload;
-  encodeColumnarFrame({}, {}, payload);
+  ColumnarScratch scratch;
+  encodeColumnarFrame({}, {}, payload, scratch);
   EXPECT_EQ(payload, (std::vector<std::uint8_t>{0, 0}));
   SlogFrameData decoded;
-  decodeColumnarFrame(payload, decoded);
+  decodeColumnarFrame(payload, decoded, scratch);
   EXPECT_TRUE(decoded.intervals.empty());
   EXPECT_TRUE(decoded.arrows.empty());
 }
@@ -195,16 +199,18 @@ std::vector<std::uint8_t> fuzzPayload() {
   for (int i = 0; i < 64; ++i) frame.intervals.push_back(randomInterval(rng));
   for (int i = 0; i < 24; ++i) frame.arrows.push_back(randomArrow(rng));
   std::vector<std::uint8_t> payload;
-  encodeColumnarFrame(frame.intervals, frame.arrows, payload);
+  ColumnarScratch scratch;
+  encodeColumnarFrame(frame.intervals, frame.arrows, payload, scratch);
   return payload;
 }
 
 TEST(SlogCodec, EveryTruncationThrowsFormatError) {
   const std::vector<std::uint8_t> payload = fuzzPayload();
+  ColumnarScratch scratch;
   for (std::size_t n = 0; n < payload.size(); ++n) {
     SlogFrameData out;
     EXPECT_THROW(
-        decodeColumnarFrame(std::span(payload.data(), n), out, "(fuzz)"),
+        decodeColumnarFrame(std::span(payload.data(), n), out, scratch),
         FormatError)
         << "truncated to " << n << " of " << payload.size();
   }
@@ -212,6 +218,7 @@ TEST(SlogCodec, EveryTruncationThrowsFormatError) {
 
 TEST(SlogCodec, BitFlipsNeverCrash) {
   const std::vector<std::uint8_t> payload = fuzzPayload();
+  ColumnarScratch scratch;
   std::size_t threw = 0;
   for (std::size_t byte = 0; byte < payload.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -219,7 +226,7 @@ TEST(SlogCodec, BitFlipsNeverCrash) {
       mutant[byte] ^= static_cast<std::uint8_t>(1u << bit);
       SlogFrameData out;
       try {
-        decodeColumnarFrame(mutant, out, "(fuzz)");
+        decodeColumnarFrame(mutant, out, scratch);
         // A flip inside a value lane legitimately decodes to a different
         // frame; the contract is typed failure or a well-formed result.
       } catch (const FormatError&) {
@@ -230,6 +237,91 @@ TEST(SlogCodec, BitFlipsNeverCrash) {
   // Structure bytes (counts, block headers, lengths) must be validated,
   // so a healthy fraction of flips is rejected outright.
   EXPECT_GT(threw, payload.size());
+}
+
+TEST(SlogCodec, CountBeyondItsColumnBlockIsRejectedBeforeSizing) {
+  // 200 claimed intervals; an unknown column pads the payload so the
+  // frame-level count check passes, and column 0 then offers one byte.
+  std::vector<std::uint8_t> payload;
+  putVarint(payload, 200);
+  putVarint(payload, 0);
+  payload.push_back(15);  // unknown interval column: skipped by length
+  payload.push_back(1);
+  putVarint(payload, 220);
+  payload.insert(payload.end(), 220, 0);
+  payload.insert(payload.end(), {0, 1, 1, 7});  // column 0: 1-byte block
+  for (const std::uint8_t encoding : {1, 2, 3}) {
+    payload[payload.size() - 3] = encoding;
+    ColumnarScratch scratch;
+    SlogFrameData out;
+    EXPECT_THROW(decodeColumnarFrame(payload, out, scratch), FormatError)
+        << "encoding " << int{encoding};
+    EXPECT_EQ(scratch.lanes[0].capacity(), 0u) << "encoding " << int{encoding};
+  }
+}
+
+/// A frame whose columns defeat the dictionary (wide values), then one
+/// whose columns take it (few values): encoding them in turn through one
+/// scratch gives the bytes a scratch that has seen nothing gives.
+TEST(SlogCodec, ReusedScratchEncodesLikeAFreshOne) {
+  Rng rng(4242);
+  SlogFrameData large;
+  for (int i = 0; i < 4000; ++i) {
+    SlogInterval r = randomInterval(rng);
+    r.stateId = static_cast<std::uint32_t>(rng.next());
+    large.intervals.push_back(r);
+  }
+  for (int i = 0; i < 900; ++i) large.arrows.push_back(randomArrow(rng));
+  SlogFrameData small;
+  for (int i = 0; i < 5; ++i) {
+    SlogInterval r;
+    r.stateId = static_cast<std::uint32_t>(i % 2);
+    r.start = static_cast<Tick>(i) * 10;
+    r.dura = 3;
+    small.intervals.push_back(r);
+  }
+  small.arrows.push_back(SlogArrow{});
+
+  const auto encode = [](const SlogFrameData& f, ColumnarScratch& scratch) {
+    std::vector<std::uint8_t> out;
+    encodeColumnarFrame(f.intervals, f.arrows, out, scratch);
+    return out;
+  };
+  ColumnarScratch fresh1, fresh2;
+  const std::vector<std::uint8_t> smallBytes = encode(small, fresh1);
+  const std::vector<std::uint8_t> largeBytes = encode(large, fresh2);
+  ColumnarScratch reused;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(encode(large, reused), largeBytes) << "round " << round;
+    EXPECT_EQ(encode(small, reused), smallBytes) << "round " << round;
+  }
+  SlogFrameData decoded;
+  decodeColumnarFrame(largeBytes, decoded, reused);
+  decodeColumnarFrame(smallBytes, decoded, reused);
+  EXPECT_EQ(decoded.intervals.size(), small.intervals.size());
+  EXPECT_EQ(encode(decoded, reused), smallBytes);
+}
+
+/// Lanes a good frame left in the scratch must not stand in for a column
+/// a later, corrupt frame lacks.
+TEST(SlogCodec, CorruptPayloadAfterAGoodOneStillThrows) {
+  const std::vector<std::uint8_t> good = fuzzPayload();
+  // One interval, columns 0..5 present, column 6 (thread) missing.
+  std::vector<std::uint8_t> missing = {1, 0};
+  for (std::uint8_t id = 0; id < 6; ++id) {
+    missing.insert(missing.end(), {id, 1, 1, 0});
+  }
+  ColumnarScratch scratch;
+  SlogFrameData out;
+  for (int round = 0; round < 2; ++round) {
+    decodeColumnarFrame(good, out, scratch);
+    EXPECT_EQ(out.intervals.size(), 64u);
+    EXPECT_THROW(decodeColumnarFrame(missing, out, scratch), FormatError);
+    EXPECT_THROW(
+        decodeColumnarFrame(std::span(good.data(), good.size() - 1), out,
+                            scratch),
+        FormatError);
+  }
 }
 
 // --- cross-version: the same records through the v1 and v2 writers ---------

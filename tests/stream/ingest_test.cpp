@@ -217,6 +217,32 @@ TEST(IngestProtocol, TruncatedAndCorruptedPayloadsThrowNeverCrash) {
   }
 }
 
+TEST(IngestProtocol, HostileCountsAreBadRequests) {
+  for (const std::uint32_t count : {0xFFFFFFFFu, 0x3FFFFFFFu}) {
+    for (const IngestOp op :
+         {IngestOp::kThreads, IngestOp::kClockPairs, IngestOp::kRecords}) {
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(op));
+      if (op == IngestOp::kClockPairs) w.u8(0);  // final flag
+      w.u32(count);
+      w.u64(0);  // far short of `count` items
+      try {
+        switch (op) {
+          case IngestOp::kThreads: decodeIngestThreads(w.view()); break;
+          case IngestOp::kClockPairs: decodeIngestClockPairs(w.view()); break;
+          default: decodeIngestRecords(w.view()); break;
+        }
+        FAIL() << "count " << count << " accepted";
+      } catch (const IngestError& e) {
+        EXPECT_EQ(e.status(), IngestStatus::kBadRequest);
+        // Refused by the count check, not by a failed allocation.
+        EXPECT_NE(std::string(e.what()).find("overruns"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 // --- server -----------------------------------------------------------------
 
 TEST(IngestServer, StreamedSessionsMatchBatchMergeByteForByte) {
