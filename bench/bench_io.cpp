@@ -1,11 +1,15 @@
-// I/O layer benchmarks for the zero-copy byte-source work: cold and warm
-// frame reads plus a whole-file scan sweep across the three read
+// I/O layer benchmarks for the zero-copy byte-source work: frame encode
+// and decode speed of the row (v1) and columnar (v2) encodings, cold and
+// warm frame reads, and a whole-file scan sweep across the three read
 // strategies (mmap, plain stdio readAt, stdio fetch through the
 // BufferPool), written to BENCH_io.json. Also counts heap allocations on
 // the warm server frame path — the zero-copy contract says a cache hit
 // hands out the shared decoded frame without allocating anything — and
 // checks that the mmap full scan is at least as fast as the stdio
-// baseline. Then google-benchmark microbenchmarks of the same paths.
+// baseline. Exits 1 when a check fails: v1 and v2 decode different
+// record counts, a decoded v2 frame does not re-encode to its on-disk
+// payload byte for byte, or mmap and stdio read different bytes. Then
+// google-benchmark microbenchmarks of the same paths.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -13,14 +17,22 @@
 #include <cstring>
 #include <new>
 #include <span>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
 #include "server/trace_service.h"
+#include "slog/slog_codec.h"
 #include "slog/slog_reader.h"
 #include "support/byte_source.h"
 #include "support/text.h"
 #include "workloads/workloads.h"
+
+// The CMake build type BENCH_io.json records (bench/CMakeLists.txt).
+#ifndef UTE_BUILD_TYPE
+#define UTE_BUILD_TYPE "unknown"
+#endif
 
 // Global allocation counters so the warm-path probe can assert "zero
 // allocations per request" instead of guessing. Counting is switched on
@@ -83,6 +95,66 @@ std::uint64_t decodeAllRecords(const SlogReader& reader) {
     records += frame->intervals.size() + frame->arrows.size();
   }
   return records;
+}
+
+/// Every frame of a file, decoded once: the input of the encode timings.
+std::vector<SlogFramePtr> decodeAllFrames(const SlogReader& reader) {
+  std::vector<SlogFramePtr> frames;
+  for (std::size_t f = 0; f < reader.frameIndex().size(); ++f) {
+    frames.push_back(reader.readFrame(f));
+  }
+  return frames;
+}
+
+/// Best of twenty encodes of every frame in `encoding`, each frame into
+/// one reused buffer the way a SLOG writer seals it. A pass takes a few
+/// milliseconds, so it takes more passes than decode for a steady best.
+double bestEncodeSeconds(const std::vector<SlogFramePtr>& frames,
+                         FrameEncoding encoding) {
+  std::vector<std::uint8_t> out;
+  ColumnarScratch scratch;
+  double best = 1e9;
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto t0 = benchutil::now();
+    for (const SlogFramePtr& frame : frames) {
+      out.clear();
+      if (encoding == FrameEncoding::kColumnar) {
+        encodeColumnarFrame(frame->intervals, frame->arrows, out, scratch);
+      } else {
+        for (const SlogInterval& r : frame->intervals) {
+          encodeRowInterval(out, r);
+        }
+        for (const SlogArrow& a : frame->arrows) encodeRowArrow(out, a);
+      }
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    best = std::min(best, benchutil::secondsSince(t0));
+  }
+  return best;
+}
+
+/// Exits 1 unless every frame of the v2 file at `path` decodes and
+/// re-encodes to exactly its on-disk payload.
+void requireReencodeIdentity(const std::string& path) {
+  const SlogReader reader(path);
+  const ByteSource source(path);
+  std::vector<std::uint8_t> out;
+  ColumnarScratch scratch;
+  for (std::size_t f = 0; f < reader.frameIndex().size(); ++f) {
+    const SlogFrameIndexEntry& e = reader.frameIndex()[f];
+    const FrameBuf onDisk = source.fetch(e.offset, e.sizeBytes);
+    const SlogFramePtr frame = reader.readFrame(f);
+    out.clear();
+    encodeColumnarFrame(frame->intervals, frame->arrows, out, scratch);
+    if (!std::equal(out.begin(), out.end(), onDisk.bytes().begin(),
+                    onDisk.bytes().end())) {
+      std::fprintf(stderr,
+                   "v2 frame %zu does not re-encode to its on-disk bytes!\n",
+                   f);
+      std::exit(1);
+    }
+  }
 }
 
 /// Sum of the index's encoded frame payload sizes (header, thread table,
@@ -190,22 +262,28 @@ void printSweep() {
   gSlogV1 = runPipeline(testProgram(workload), v1Options).slogFile;
 
   std::printf("=== I/O: frame encoding, row v1 vs columnar v2 ===\n");
-  std::printf("%10s %14s %10s %12s %16s\n", "encoding", "frame bytes",
-              "records", "bytes/rec", "decode rec/s");
+  std::printf("%10s %14s %10s %12s %16s %16s\n", "encoding", "frame bytes",
+              "records", "bytes/rec", "encode rec/s", "decode rec/s");
   struct EncodingPoint {
     const char* encoding;
     std::uint64_t frameBytes = 0;
     std::uint64_t records = 0;
+    double encodeSeconds = 0;
     double decodeSeconds = 0;
+  };
+  const auto perSecond = [](std::uint64_t records, double seconds) {
+    return static_cast<double>(records) / seconds;
   };
   std::vector<EncodingPoint> encodings;
   std::uint64_t checksum = 0;
-  for (const auto& [name, path] :
-       {std::pair<const char*, const std::string*>{"row-v1", &gSlogV1},
-        {"columnar-v2", &gSlog}}) {
+  for (const auto& [name, path, encoding] :
+       {std::tuple<const char*, const std::string*, FrameEncoding>{
+            "row-v1", &gSlogV1, FrameEncoding::kRow},
+        {"columnar-v2", &gSlog, FrameEncoding::kColumnar}}) {
     const SlogReader reader(*path);
     EncodingPoint p;
     p.encoding = name;
+    p.encodeSeconds = bestEncodeSeconds(decodeAllFrames(reader), encoding);
     p.frameBytes = totalFrameBytes(reader);
     p.records = decodeAllRecords(reader);  // warm: page cache + checksum
     // Best of five full decodes, so the records/s figure is the decode
@@ -226,17 +304,21 @@ void printSweep() {
       std::fprintf(stderr, "v1 and v2 decoded different record counts!\n");
       std::exit(1);
     }
-    std::printf("%10s %14s %10s %12.2f %16s\n", p.encoding,
+    std::printf("%10s %14s %10s %12.2f %16s %16s\n", p.encoding,
                 withCommas(p.frameBytes).c_str(),
                 withCommas(p.records).c_str(),
                 static_cast<double>(p.frameBytes) /
                     static_cast<double>(p.records),
                 withCommas(static_cast<std::uint64_t>(
-                               static_cast<double>(p.records) /
-                               p.decodeSeconds))
+                               perSecond(p.records, p.encodeSeconds)))
+                    .c_str(),
+                withCommas(static_cast<std::uint64_t>(
+                               perSecond(p.records, p.decodeSeconds)))
                     .c_str());
     encodings.push_back(p);
   }
+  requireReencodeIdentity(gSlog);
+  std::printf("every v2 frame re-encodes to its on-disk bytes\n");
   const double v2Ratio =
       static_cast<double>(encodings[1].frameBytes) /
       static_cast<double>(encodings[0].frameBytes);
@@ -343,21 +425,25 @@ void printSweep() {
   }
   std::fprintf(json,
                "{\n  \"workload\": \"test program, 4 nodes\",\n"
-               "  \"caveat\": \"1-CPU container: decode rates are "
-               "single-core figures\",\n"
+               "  \"nproc\": %u,\n  \"build_type\": \"%s\",\n"
+               "  \"note\": \"encode and decode rates are single-thread "
+               "figures\",\n"
                "  \"slog_bytes\": %llu,\n  \"encoding_sweep\": [\n",
+               std::thread::hardware_concurrency(), UTE_BUILD_TYPE,
                static_cast<unsigned long long>(gSlogBytes));
   for (std::size_t i = 0; i < encodings.size(); ++i) {
     const EncodingPoint& p = encodings[i];
     std::fprintf(json,
                  "    {\"encoding\": \"%s\", \"frame_bytes\": %llu, "
                  "\"records\": %llu, \"bytes_per_record\": %.3f, "
+                 "\"encode_records_per_second\": %.1f, "
                  "\"decode_records_per_second\": %.1f}%s\n",
                  p.encoding, static_cast<unsigned long long>(p.frameBytes),
                  static_cast<unsigned long long>(p.records),
                  static_cast<double>(p.frameBytes) /
                      static_cast<double>(p.records),
-                 static_cast<double>(p.records) / p.decodeSeconds,
+                 perSecond(p.records, p.encodeSeconds),
+                 perSecond(p.records, p.decodeSeconds),
                  i + 1 < encodings.size() ? "," : "");
   }
   std::fprintf(json,

@@ -102,18 +102,21 @@ FrameCache::FramePtr TraceService::frame(std::uint32_t traceId,
 
 std::optional<std::pair<std::size_t, std::size_t>> TraceService::frameSpan(
     const SlogReader& reader, Tick t0, Tick t1) const {
+  // Half-open selection, matching buildSlogWindowView: a frame that
+  // merely touches a window edge contributes nothing. The reader admits
+  // only indexes whose times never decrease, so the frames ending after
+  // t0 are a suffix, those starting before t1 a prefix, and the span is
+  // where they meet.
   const auto& index = reader.frameIndex();
-  std::size_t first = index.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    // Half-open selection, matching buildSlogWindowView: a frame that
-    // merely touches a window edge contributes nothing.
-    if (index[i].timeEnd <= t0 || index[i].timeStart >= t1) continue;
-    first = std::min(first, i);
-    last = std::max(last, i);
-  }
-  if (first > last) return std::nullopt;
-  return std::make_pair(first, last);
+  const auto first = std::partition_point(
+      index.begin(), index.end(),
+      [t0](const SlogFrameIndexEntry& e) { return e.timeEnd <= t0; });
+  const auto end = std::partition_point(
+      first, index.end(),
+      [t1](const SlogFrameIndexEntry& e) { return e.timeStart < t1; });
+  if (first == end) return std::nullopt;
+  return std::make_pair(static_cast<std::size_t>(first - index.begin()),
+                        static_cast<std::size_t>(end - index.begin()) - 1);
 }
 
 void TraceService::window(std::uint32_t traceId, const WindowQuery& query,

@@ -1,7 +1,8 @@
 #include "slog/slog_codec.h"
 
-#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "slog/kernels.h"
 #include "support/errors.h"
@@ -81,75 +82,127 @@ enum : std::uint8_t {
 /// columns; past this many distinct values the scan stops early.
 constexpr std::size_t kMaxDictValues = 64;
 
-void encodePlainLane(const std::vector<std::uint64_t>& lane,
-                     std::vector<std::uint8_t>& out) {
-  for (std::uint64_t v : lane) putVarint(out, v);
+/// Bytes putVarint() spends on `v`: one per started 7-bit group.
+constexpr std::size_t varintSize(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-void encodeDeltaLane(const std::vector<std::uint64_t>& lane,
-                     std::vector<std::uint8_t>& out) {
-  if (lane.empty()) return;
-  putVarint(out, lane[0]);
-  for (std::size_t i = 1; i < lane.size(); ++i) {
-    putVarint(out, zigzagEncode(static_cast<std::int64_t>(lane[i] -
-                                                          lane[i - 1])));
+/// Writes `v` as a varint at `p`, which has room for it; returns the end.
+std::uint8_t* writeVarint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// The dictionary candidate of one column, looked up through a
+/// fixed-size open-addressing table on the stack. At most kMaxDictValues
+/// entries in kSlots slots keeps probe chains short.
+class DictBuilder {
+ public:
+  /// The index of `v`, adding it when new; -1 once the dictionary would
+  /// exceed kMaxDictValues entries.
+  int indexOf(std::uint64_t v) {
+    std::size_t slot = (v * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits);
+    while (slots_[slot] != 0) {
+      const int idx = slots_[slot] - 1;
+      if (values_[idx] == v) return idx;
+      slot = (slot + 1) & (kSlots - 1);
+    }
+    if (size_ == kMaxDictValues) return -1;
+    values_[size_] = v;
+    slots_[slot] = static_cast<std::uint8_t>(++size_);
+    return static_cast<int>(size_ - 1);
+  }
+  std::size_t size() const { return size_; }
+  std::uint64_t operator[](std::size_t i) const { return values_[i]; }
+
+ private:
+  static constexpr int kSlotBits = 8;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  std::array<std::uint8_t, kSlots> slots_{};  ///< dictionary index + 1
+  std::array<std::uint64_t, kMaxDictValues> values_{};
+  std::size_t size_ = 0;
+};
+
+/// Calls `fn` with each value a delta block holds for the column `get`
+/// reads: the first value plain, then each zigzag-mapped difference.
+template <typename Record, typename Get, typename Fn>
+void forEachDelta(std::span<const Record> records, Get get, Fn fn) {
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint64_t cur = get(records[i]);
+    fn(i == 0 ? cur : zigzagEncode(static_cast<std::int64_t>(cur - prev)));
+    prev = cur;
   }
 }
 
-/// Emits the column in `s.lane` as one block: u8 id, u8 encoding, varint
-/// length, payload. Non-time columns deterministically pick the smaller
-/// of plain-varint and dictionary (dictionary in first-appearance order;
-/// plain wins ties).
-void emitColumn(std::uint8_t id, bool isTime, ColumnarScratch& s,
+/// Appends the column `get` reads from `records` to `out` as one block:
+/// u8 id, u8 encoding, varint length, payload. Both candidate encodings
+/// are sized arithmetically in one pass and only the winner is written:
+/// time columns are always delta-coded; other columns use the dictionary
+/// (first-appearance order, every index one byte) only when it is
+/// strictly smaller than plain varints.
+template <typename Record, typename Get>
+void emitColumn(std::uint8_t id, bool isTime,
+                std::span<const Record> records, Get get, ColumnarScratch& s,
                 std::vector<std::uint8_t>& out) {
-  const std::vector<std::uint64_t>& lane = s.lane;
-  const std::vector<std::uint8_t>* block = &s.plain;
-  s.plain.clear();
+  const std::size_t n = records.size();
   std::uint8_t encoding = kEncVarint;
+  std::size_t blockSize = 0;
+  DictBuilder dict;
   if (isTime) {
     encoding = kEncDelta;
-    encodeDeltaLane(lane, s.plain);
+    forEachDelta(records, get,
+                 [&](std::uint64_t v) { blockSize += varintSize(v); });
   } else {
-    encodePlainLane(lane, s.plain);
-    // Dictionary candidate: distinct values in first-appearance order.
-    s.dict.clear();
-    s.indexes.clear();
-    bool viable = true;
-    for (std::uint64_t v : lane) {
-      const auto it = std::find(s.dict.begin(), s.dict.end(), v);
-      if (it == s.dict.end()) {
-        if (s.dict.size() >= kMaxDictValues) {
-          viable = false;
-          break;
-        }
-        s.indexes.push_back(static_cast<std::uint32_t>(s.dict.size()));
-        s.dict.push_back(v);
-      } else {
-        s.indexes.push_back(static_cast<std::uint32_t>(it - s.dict.begin()));
-      }
+    s.indexes.resize(n);
+    std::uint8_t* indexes = s.indexes.data();
+    std::size_t dictValueBytes = 0;
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+      const std::uint64_t v = get(records[i]);
+      const std::size_t before = dict.size();
+      const int idx = dict.indexOf(v);
+      if (idx < 0) break;
+      indexes[i] = static_cast<std::uint8_t>(idx);
+      const std::size_t bytes = varintSize(v);
+      blockSize += bytes;
+      if (dict.size() != before) dictValueBytes += bytes;
     }
-    if (viable && !lane.empty()) {
-      s.dictEncoded.clear();
-      putVarint(s.dictEncoded, s.dict.size());
-      for (std::uint64_t v : s.dict) putVarint(s.dictEncoded, v);
-      for (std::uint32_t idx : s.indexes) putVarint(s.dictEncoded, idx);
-      if (s.dictEncoded.size() < s.plain.size()) {
-        encoding = kEncDict;
-        block = &s.dictEncoded;
-      }
+    const bool viable = n > 0 && i == n;
+    for (; i < n; ++i) blockSize += varintSize(get(records[i]));
+    // The dictionary size and every index are below 128: one byte each.
+    const std::size_t dictSize = 1 + dictValueBytes + n;
+    if (viable && dictSize < blockSize) {
+      encoding = kEncDict;
+      blockSize = dictSize;
     }
   }
-  out.push_back(id);
-  out.push_back(encoding);
-  putVarint(out, block->size());
-  out.insert(out.end(), block->begin(), block->end());
+  // The writes below fill exactly the bytes sized above (the oracle tests
+  // in tests/slog/codec_test.cpp hold the two to the reference encoder).
+  const std::size_t at = out.size();
+  out.resize(at + 2 + varintSize(blockSize) + blockSize);
+  std::uint8_t* p = out.data() + at;
+  *p++ = id;
+  *p++ = encoding;
+  p = writeVarint(p, blockSize);
+  if (encoding == kEncDict) {
+    *p++ = static_cast<std::uint8_t>(dict.size());
+    for (std::size_t k = 0; k < dict.size(); ++k) p = writeVarint(p, dict[k]);
+    std::memcpy(p, s.indexes.data(), n);
+  } else if (isTime) {
+    forEachDelta(records, get,
+                 [&](std::uint64_t v) { p = writeVarint(p, v); });
+  } else {
+    for (const Record& r : records) p = writeVarint(p, get(r));
+  }
 }
 
 /// Releases every scratch buffer above kScratchKeepBytes.
 void trim(ColumnarScratch& s) {
-  releaseIfLarge(s.lane);
-  releaseIfLarge(s.plain);
-  releaseIfLarge(s.dictEncoded);
   releaseIfLarge(s.dict);
   releaseIfLarge(s.indexes);
   for (std::vector<std::uint64_t>& l : s.lanes) releaseIfLarge(l);
@@ -169,20 +222,11 @@ void encodeColumnarFrame(std::span<const SlogInterval> intervals,
   putVarint(out, intervals.size());
   putVarint(out, arrows.size());
 
-  std::vector<std::uint64_t>& lane = scratch.lane;
   const auto column = [&](std::uint8_t id, bool isTime, auto&& get) {
-    lane.clear();
-    if (id < 16) {
-      lane.reserve(intervals.size());
-      for (const SlogInterval& r : intervals) lane.push_back(get(r));
-    }
-    emitColumn(id, isTime, scratch, out);
+    emitColumn(id, isTime, intervals, get, scratch, out);
   };
   const auto arrowColumn = [&](std::uint8_t id, bool isTime, auto&& get) {
-    lane.clear();
-    lane.reserve(arrows.size());
-    for (const SlogArrow& a : arrows) lane.push_back(get(a));
-    emitColumn(id, isTime, scratch, out);
+    emitColumn(id, isTime, arrows, get, scratch, out);
   };
 
   if (!intervals.empty()) {

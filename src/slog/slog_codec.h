@@ -11,6 +11,13 @@
 // so readers can skip columns they do not know. See docs/FORMAT.md §4a
 // for the normative byte layout.
 //
+// The encoder is size-first. One pass over a column sizes both candidate
+// encodings arithmetically: a varint's length follows from the value's
+// bit width, and a dictionary (at most 64 entries, looked up through a
+// small open-addressing table on the stack) spends one byte per index.
+// The output then grows once per column and only the winning encoding is
+// written into it, so no column is ever encoded twice or copied.
+//
 // This header is also the project's only home for varint/zigzag
 // primitives (enforced by tools/utelint.py codec-containment): every
 // other layer encodes through encodeColumnarFrame()/decodeColumnarFrame().
@@ -63,15 +70,15 @@ constexpr std::int64_t zigzagDecode(std::uint64_t v) {
 /// After each call, any buffer above kScratchKeepBytes is released
 /// (support/scratch.h), so an idle scratch retains a bounded amount of
 /// memory. A scratch serves one thread at a time. The members are the
-/// codec's own business.
+/// codec's own business: the encoder reads each column straight from the
+/// record spans and keeps only its dictionary indexes here, since both
+/// encodings are sized before either is written.
 struct ColumnarScratch {
-  // Encode: one column at a time.
-  std::vector<std::uint64_t> lane;
-  std::vector<std::uint8_t> plain;  ///< the column as plain/delta varints
-  std::vector<std::uint8_t> dictEncoded;  ///< the column as a dictionary
-  std::vector<std::uint64_t> dict;  ///< distinct values (decode: the table)
-  std::vector<std::uint32_t> indexes;
-  // Decode: one lane per column id.
+  // Encode: the dictionary indexes of the column being encoded.
+  std::vector<std::uint8_t> indexes;
+  // Decode: the dictionary of the column being decoded, and one lane per
+  // column id.
+  std::vector<std::uint64_t> dict;
   std::array<std::vector<std::uint64_t>, 23> lanes;
 };
 

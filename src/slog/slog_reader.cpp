@@ -105,6 +105,14 @@ SlogReader::SlogReader(const std::string& path, ByteSource::Mode mode)
                              std::to_string(i) + " is inconsistent" +
                              ioContext(path, e.offset));
     }
+    // Frames tile the run in time order, and every lookup binary-searches
+    // the index on that promise.
+    if (!index_.empty() && (e.timeStart < index_.back().timeStart ||
+                            e.timeEnd < index_.back().timeEnd)) {
+      throw CorruptFileError("corrupt SLOG file: frame index entry " +
+                             std::to_string(i) + " goes back in time" +
+                             ioContext(path, e.offset));
+    }
     index_.push_back(e);
   }
 

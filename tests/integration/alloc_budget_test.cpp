@@ -26,6 +26,7 @@
 #include "interval/standard_profile.h"
 #include "merge/merger.h"
 #include "server/protocol.h"
+#include "slog/slog_codec.h"
 #include "slog/slog_reader.h"
 #include "stats/engine.h"
 #include "viz/svg_render.h"
@@ -197,6 +198,44 @@ TEST_F(AllocBudget, RenderSvgPerView) {
     ++views;
   }
   EXPECT_GT(views, 10u);
+}
+
+TEST_F(AllocBudget, ColumnarEncodeWithWarmScratchAllocatesNothing) {
+  // A 512-record frame of the long run's records, encoded again and
+  // again through one scratch into one reused output buffer: once both
+  // have seen the frame, an encode allocates nothing.
+  SlogReader slog(long_->slogFile);
+  constexpr std::size_t kRecords = 512;
+  SlogFrameData frame;
+  for (std::size_t f = 0; f < slog.frameIndex().size(); ++f) {
+    const SlogFramePtr part = slog.readFrame(f);
+    for (const SlogInterval& r : part->intervals) {
+      if (frame.intervals.size() < kRecords) frame.intervals.push_back(r);
+    }
+  }
+  ASSERT_EQ(frame.intervals.size(), kRecords);
+  // One record in eight becomes an arrow made from an interval's fields,
+  // so the arrow columns are encoded too.
+  for (std::size_t i = 0; i < kRecords / 8; ++i) {
+    const SlogInterval& r = frame.intervals[i];
+    frame.arrows.push_back({r.node, r.thread, r.start, r.node, r.thread,
+                            r.end(), static_cast<std::uint32_t>(r.dura)});
+  }
+  frame.intervals.resize(kRecords - frame.arrows.size());
+  ColumnarScratch scratch;
+  std::vector<std::uint8_t> out;
+  encodeColumnarFrame(frame.intervals, frame.arrows, out, scratch);
+  const std::vector<std::uint8_t> first = out;
+  for (int pass = 1; pass <= 8; ++pass) {
+    out.clear();
+    EXPECT_EQ(allocationsOf([&] {
+                encodeColumnarFrame(frame.intervals, frame.arrows, out,
+                                    scratch);
+              }),
+              0u)
+        << "pass " << pass;
+    EXPECT_EQ(out, first) << "pass " << pass;
+  }
 }
 
 ServiceOptions oneWorker() {

@@ -11,8 +11,11 @@
 // decode identically) are covered at writer/reader level below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include "interval/standard_profile.h"
 #include "slog/slog_codec.h"
@@ -321,6 +324,357 @@ TEST(SlogCodec, CorruptPayloadAfterAGoodOneStillThrows) {
         decodeColumnarFrame(std::span(good.data(), good.size() - 1), out,
                             scratch),
         FormatError);
+  }
+}
+
+// --- differential oracle: the encoder against the two-buffer reference ----
+
+/// The column encoder as first written: every column encoded in full as
+/// plain varints and, while it has at most 64 distinct values, as a
+/// dictionary, then the smaller kept (plain on a tie). The size-first
+/// encoder must produce exactly these bytes.
+namespace reference {
+
+std::vector<std::uint8_t> plainBlock(const std::vector<std::uint64_t>& lane,
+                                     bool isTime) {
+  std::vector<std::uint8_t> block;
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    putVarint(block, !isTime || i == 0
+                         ? lane[i]
+                         : zigzagEncode(static_cast<std::int64_t>(
+                               lane[i] - lane[i - 1])));
+  }
+  return block;
+}
+
+/// The dictionary block, or nothing when the lane is empty or has more
+/// than 64 distinct values.
+std::optional<std::vector<std::uint8_t>> dictBlock(
+    const std::vector<std::uint64_t>& lane) {
+  std::vector<std::uint64_t> dict;
+  std::vector<std::uint32_t> indexes;
+  for (const std::uint64_t v : lane) {
+    const auto it = std::find(dict.begin(), dict.end(), v);
+    if (it == dict.end()) {
+      if (dict.size() >= 64) return std::nullopt;
+      indexes.push_back(static_cast<std::uint32_t>(dict.size()));
+      dict.push_back(v);
+    } else {
+      indexes.push_back(static_cast<std::uint32_t>(it - dict.begin()));
+    }
+  }
+  if (lane.empty()) return std::nullopt;
+  std::vector<std::uint8_t> block;
+  putVarint(block, dict.size());
+  for (const std::uint64_t v : dict) putVarint(block, v);
+  for (const std::uint32_t idx : indexes) putVarint(block, idx);
+  return block;
+}
+
+void emitColumn(std::uint8_t id, bool isTime,
+                const std::vector<std::uint64_t>& lane,
+                std::vector<std::uint8_t>& out) {
+  std::vector<std::uint8_t> block = plainBlock(lane, isTime);
+  std::uint8_t encoding = isTime ? 2 : 1;
+  if (!isTime) {
+    std::optional<std::vector<std::uint8_t>> dict = dictBlock(lane);
+    if (dict && dict->size() < block.size()) {
+      encoding = 3;
+      block = std::move(*dict);
+    }
+  }
+  out.push_back(id);
+  out.push_back(encoding);
+  putVarint(out, block.size());
+  out.insert(out.end(), block.begin(), block.end());
+}
+
+/// Each column's lane, in column-id order (interval ids 0..6, then
+/// arrow ids 16..22), as the encoder sees it.
+std::vector<std::uint64_t> intervalLane(const SlogFrameData& f, int col) {
+  std::vector<std::uint64_t> lane;
+  for (const SlogInterval& r : f.intervals) {
+    const std::uint64_t fields[] = {
+        r.stateId,
+        static_cast<std::uint64_t>(r.bebits) | (r.pseudo ? 0x100ull : 0ull),
+        r.start,
+        r.dura,
+        zigzagEncode(r.node),
+        zigzagEncode(r.cpu),
+        zigzagEncode(r.thread)};
+    lane.push_back(fields[col]);
+  }
+  return lane;
+}
+
+std::vector<std::uint64_t> arrowLane(const SlogFrameData& f, int col) {
+  std::vector<std::uint64_t> lane;
+  for (const SlogArrow& a : f.arrows) {
+    const std::uint64_t fields[] = {
+        zigzagEncode(a.srcNode),   zigzagEncode(a.srcThread), a.sendTime,
+        zigzagEncode(a.dstNode),   zigzagEncode(a.dstThread), a.recvTime,
+        a.bytes};
+    lane.push_back(fields[col]);
+  }
+  return lane;
+}
+
+constexpr bool kIntervalTime[7] = {false, false, true, false,
+                                   false, false, false};
+constexpr bool kArrowTime[7] = {false, false, true, false,
+                                false, true, false};
+
+std::vector<std::uint8_t> encodeFrame(const SlogFrameData& f) {
+  std::vector<std::uint8_t> out;
+  putVarint(out, f.intervals.size());
+  putVarint(out, f.arrows.size());
+  if (!f.intervals.empty()) {
+    for (int c = 0; c < 7; ++c) {
+      emitColumn(static_cast<std::uint8_t>(c), kIntervalTime[c],
+                 intervalLane(f, c), out);
+    }
+  }
+  if (!f.arrows.empty()) {
+    for (int c = 0; c < 7; ++c) {
+      emitColumn(static_cast<std::uint8_t>(16 + c), kArrowTime[c],
+                 arrowLane(f, c), out);
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
+/// The largest lane value each column can hold: 32-bit fields (zigzag
+/// ids included) below 2^32, flags below 2^9, times the full 64 bits.
+constexpr std::uint64_t kU32 = 0xffffffffull;
+constexpr std::uint64_t kU64 = ~0ull;
+constexpr std::uint64_t kIntervalMax[7] = {kU32, 0x1ff, kU64, kU64,
+                                           kU32, kU32,  kU32};
+constexpr std::uint64_t kArrowMax[7] = {kU32, kU32, kU64, kU32,
+                                        kU32, kU64, kU32};
+
+/// A frame whose column lanes are exactly the given values: lane c of
+/// `intervalLanes` becomes column c, of `arrowLanes` column 16 + c.
+SlogFrameData frameFromLanes(
+    const std::array<std::vector<std::uint64_t>, 7>& intervalLanes,
+    const std::array<std::vector<std::uint64_t>, 7>& arrowLanes) {
+  SlogFrameData f;
+  const auto id = [](std::uint64_t v) {
+    return static_cast<std::int32_t>(zigzagDecode(v));
+  };
+  for (std::size_t i = 0; i < intervalLanes[0].size(); ++i) {
+    SlogInterval r;
+    r.stateId = static_cast<std::uint32_t>(intervalLanes[0][i]);
+    r.bebits = static_cast<std::uint8_t>(intervalLanes[1][i]);
+    r.pseudo = (intervalLanes[1][i] & 0x100) != 0;
+    r.start = intervalLanes[2][i];
+    r.dura = intervalLanes[3][i];
+    r.node = static_cast<NodeId>(id(intervalLanes[4][i]));
+    r.cpu = id(intervalLanes[5][i]);
+    r.thread = static_cast<LogicalThreadId>(id(intervalLanes[6][i]));
+    f.intervals.push_back(r);
+  }
+  for (std::size_t i = 0; i < arrowLanes[0].size(); ++i) {
+    SlogArrow a;
+    a.srcNode = static_cast<NodeId>(id(arrowLanes[0][i]));
+    a.srcThread = static_cast<LogicalThreadId>(id(arrowLanes[1][i]));
+    a.sendTime = arrowLanes[2][i];
+    a.dstNode = static_cast<NodeId>(id(arrowLanes[3][i]));
+    a.dstThread = static_cast<LogicalThreadId>(id(arrowLanes[4][i]));
+    a.recvTime = arrowLanes[5][i];
+    a.bytes = static_cast<std::uint32_t>(arrowLanes[6][i]);
+    f.arrows.push_back(a);
+  }
+  return f;
+}
+
+/// A value of random bit width, at most `max`.
+std::uint64_t anyWidth(Rng& rng, std::uint64_t max) {
+  const std::uint64_t v = rng.next() >> rng.below(64);
+  return max == kU64 ? v : v % (max + 1);
+}
+
+/// `n` values (n >= k) holding exactly `k` distinct ones, all at most
+/// `max`, in random order.
+std::vector<std::uint64_t> laneWithDistinct(Rng& rng, std::size_t n,
+                                            std::size_t k,
+                                            std::uint64_t max) {
+  std::vector<std::uint64_t> pool;
+  while (pool.size() < k) {
+    const std::uint64_t v = anyWidth(rng, max);
+    if (std::find(pool.begin(), pool.end(), v) == pool.end()) {
+      pool.push_back(v);
+    }
+  }
+  std::vector<std::uint64_t> lane = pool;
+  while (lane.size() < n) lane.push_back(pool[rng.below(k)]);
+  for (std::size_t i = lane.size(); i > 1; --i) {
+    std::swap(lane[i - 1], lane[rng.below(i)]);
+  }
+  return lane;
+}
+
+/// Encodes `f` after a prefix already in the output, through a scratch
+/// shared across calls (as a writer's is), and checks the appended bytes
+/// against the reference encoder.
+void expectMatchesReference(const SlogFrameData& f, ColumnarScratch& scratch,
+                            const std::string& what) {
+  const std::vector<std::uint8_t> prefix = {0xab, 0xcd};
+  std::vector<std::uint8_t> out = prefix;
+  encodeColumnarFrame(f.intervals, f.arrows, out, scratch);
+  ASSERT_GE(out.size(), prefix.size()) << what;
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin())) << what;
+  EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 2, out.end()),
+            reference::encodeFrame(f))
+      << what;
+}
+
+constexpr int kOracleFrames = 200;
+
+TEST(SlogCodecOracle, DistinctValueCountsAroundTheDictionaryLimit) {
+  Rng rng(1401);
+  ColumnarScratch scratch;
+  for (const std::size_t k : {0, 1, 63, 64, 65}) {
+    for (int round = 0; round < kOracleFrames; ++round) {
+      const std::size_t n = k == 0 ? 0 : k + rng.below(200);
+      std::array<std::vector<std::uint64_t>, 7> iv;
+      std::array<std::vector<std::uint64_t>, 7> ar;
+      for (int c = 0; c < 7; ++c) {
+        iv[c] = laneWithDistinct(rng, n, k, kIntervalMax[c]);
+        ar[c] = laneWithDistinct(rng, n / 2 + (k > 0 ? k : 0), k,
+                                 kArrowMax[c]);
+      }
+      expectMatchesReference(frameFromLanes(iv, ar), scratch,
+                             std::to_string(k) + " distinct, round " +
+                                 std::to_string(round));
+    }
+  }
+}
+
+TEST(SlogCodecOracle, PlainDictionaryTiesGoToPlain) {
+  // Small columns of 1- to 3-byte values whose dictionary block is
+  // exactly as long as their plain block (e.g. three copies of one
+  // 2-byte value: 6 bytes either way), searched for at random.
+  Rng rng(1402);
+  ColumnarScratch scratch;
+  int ties = 0;
+  for (int round = 0; round < kOracleFrames; ++round) {
+    std::vector<std::uint64_t> lane;
+    for (int attempt = 0; attempt < 100000; ++attempt) {
+      const std::size_t k = 1 + rng.below(4);
+      const std::size_t n = k + rng.below(12);
+      std::vector<std::uint64_t> pool;
+      for (std::size_t i = 0; i < k; ++i) {
+        pool.push_back(std::uint64_t{1} << (7 * rng.below(3)) |
+                       rng.below(128));
+      }
+      lane.clear();
+      for (std::size_t i = 0; i < n; ++i) lane.push_back(pool[rng.below(k)]);
+      const std::optional<std::vector<std::uint8_t>> dict =
+          reference::dictBlock(lane);
+      if (dict && dict->size() == reference::plainBlock(lane, false).size()) {
+        break;
+      }
+      lane.clear();
+    }
+    ASSERT_FALSE(lane.empty()) << "no tie found, round " << round;
+    ++ties;
+    std::array<std::vector<std::uint64_t>, 7> iv;
+    std::array<std::vector<std::uint64_t>, 7> ar;
+    for (int c = 0; c < 7; ++c) {
+      iv[c] = c == 0 ? lane
+                     : laneWithDistinct(rng, lane.size(), 1, kIntervalMax[c]);
+      ar[c] = c == 6 ? lane
+                     : laneWithDistinct(rng, lane.size(), 1, kArrowMax[c]);
+    }
+    const SlogFrameData f = frameFromLanes(iv, ar);
+    expectMatchesReference(f, scratch, "tie, round " + std::to_string(round));
+    // Column 0 leads the payload (after two one-byte counts): plain.
+    std::vector<std::uint8_t> out;
+    encodeColumnarFrame(f.intervals, f.arrows, out, scratch);
+    EXPECT_EQ(out[3], 1) << "tie, round " << round;
+  }
+  EXPECT_EQ(ties, kOracleFrames);
+}
+
+TEST(SlogCodecOracle, NegativeTimeDeltas) {
+  Rng rng(1403);
+  ColumnarScratch scratch;
+  for (int round = 0; round < kOracleFrames; ++round) {
+    const std::size_t n = 1 + rng.below(300);
+    // Time columns wander both ways (sealed frames are in end-time
+    // order, so starts can step back), sometimes by the whole range.
+    const auto times = [&] {
+      std::vector<std::uint64_t> lane = {anyWidth(rng, kU64)};
+      while (lane.size() < n) {
+        const std::uint64_t step = anyWidth(rng, kU64) >> rng.below(64);
+        lane.push_back(rng.below(2) == 0 ? lane.back() - step
+                                         : lane.back() + step);
+      }
+      return lane;
+    };
+    std::array<std::vector<std::uint64_t>, 7> iv;
+    std::array<std::vector<std::uint64_t>, 7> ar;
+    for (int c = 0; c < 7; ++c) {
+      iv[c] = c == 2
+                  ? times()
+                  : laneWithDistinct(rng, n, 1 + rng.below(n), kIntervalMax[c]);
+      ar[c] = c == 2 || c == 5
+                  ? times()
+                  : laneWithDistinct(rng, n, 1 + rng.below(n), kArrowMax[c]);
+    }
+    expectMatchesReference(frameFromLanes(iv, ar), scratch,
+                           "round " + std::to_string(round));
+  }
+}
+
+TEST(SlogCodecOracle, VarintWidthBoundaries) {
+  // 0, every 2^(7k)-1 / 2^(7k) pair (the values where a varint gains a
+  // byte), 2^63 and UINT64_MAX, in every column that can hold them.
+  std::vector<std::uint64_t> edges = {0, std::uint64_t{1} << 63, kU64};
+  for (int k = 1; k <= 9; ++k) {
+    edges.push_back((std::uint64_t{1} << (7 * k)) - 1);
+    edges.push_back(std::uint64_t{1} << (7 * k));
+  }
+  Rng rng(1404);
+  ColumnarScratch scratch;
+  const auto lane = [&](std::size_t n, std::uint64_t max) {
+    std::vector<std::uint64_t> values;
+    while (values.size() < n) {
+      const std::uint64_t v = edges[rng.below(edges.size())];
+      if (v <= max) values.push_back(v);
+    }
+    return values;
+  };
+  for (int round = 0; round < kOracleFrames; ++round) {
+    const std::size_t n = 1 + rng.below(300);
+    const std::size_t m = 1 + rng.below(300);
+    std::array<std::vector<std::uint64_t>, 7> iv;
+    std::array<std::vector<std::uint64_t>, 7> ar;
+    for (int c = 0; c < 7; ++c) {
+      iv[c] = lane(n, kIntervalMax[c]);
+      ar[c] = lane(m, kArrowMax[c]);
+    }
+    expectMatchesReference(frameFromLanes(iv, ar), scratch,
+                           "round " + std::to_string(round));
+  }
+}
+
+TEST(SlogCodecOracle, IntervalsOnlyArrowsOnlyAndEmptyFrames) {
+  Rng rng(1405);
+  ColumnarScratch scratch;
+  for (int round = 0; round < 3 * kOracleFrames; ++round) {
+    SlogFrameData f;
+    const std::size_t n = 1 + rng.below(300);
+    if (round % 3 == 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        f.intervals.push_back(randomInterval(rng));
+      }
+    } else if (round % 3 == 1) {
+      for (std::size_t i = 0; i < n; ++i) f.arrows.push_back(randomArrow(rng));
+    }
+    expectMatchesReference(f, scratch, "round " + std::to_string(round));
   }
 }
 

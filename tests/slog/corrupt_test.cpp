@@ -70,6 +70,15 @@ void putU64At(std::vector<std::uint8_t>& bytes, std::size_t pos,
   }
 }
 
+std::uint32_t u32At(const std::vector<std::uint8_t>& bytes,
+                    std::size_t pos) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= std::uint32_t{bytes[pos + i]} << (8 * i);
+  }
+  return v;
+}
+
 void putU32At(std::vector<std::uint8_t>& bytes, std::size_t pos,
               std::uint32_t v) {
   for (std::size_t i = 0; i < 4; ++i) {
@@ -80,6 +89,7 @@ void putU32At(std::vector<std::uint8_t>& bytes, std::size_t pos,
 // Header layout (docs/FORMAT.md): 6 u32 (magic, version, states,
 // threads, frames, recs/frame) then totalStart, totalEnd, indexOffset,
 // stateOffset, previewOffset as u64.
+constexpr std::size_t kFrameCountPos = 16;
 constexpr std::size_t kIndexOffsetPos = 24 + 16;
 constexpr std::size_t kStateOffsetPos = 24 + 24;
 
@@ -189,6 +199,43 @@ TEST(SlogCorruption, V2EncodingTagValidatedAtOpen) {
   writeWholeFile(bad, bytes);
   for (const ByteSource::Mode mode : kModes) {
     EXPECT_THROW(SlogReader reader(bad, mode), CorruptFileError);
+  }
+}
+
+TEST(SlogCorruption, IndexGoingBackInTimeRejectedAtOpen) {
+  const std::string path = writeValidSlog("corrupt_order.slog");
+  const std::vector<std::uint8_t> original = slurp(path);
+  const std::size_t indexOffset =
+      static_cast<std::size_t>(u64At(original, kIndexOffsetPos));
+  // v2 index entries are 36 bytes: timeStart u64 at +16, timeEnd at +24.
+  const auto entry = [&](std::size_t i) { return indexOffset + 36 * i; };
+  const std::size_t frames = u32At(original, kFrameCountPos);
+  ASSERT_GE(frames, 4u);
+  const std::uint64_t firstStart = u64At(original, entry(0) + 16);
+  ASSERT_LT(firstStart, u64At(original, entry(frames - 2) + 16));
+  struct Case {
+    const char* what;
+    std::size_t entryIndex;
+    std::uint64_t timeStart;
+    std::uint64_t timeEnd;
+  };
+  const Case cases[] = {
+      // Still well-formed on its own (start <= end), but it ends before
+      // the frame ahead of it does.
+      {"timeEnd decreases", 1, firstStart, firstStart},
+      // Starts before the frame ahead of it, ends where it did.
+      {"timeStart decreases", frames - 1, firstStart,
+       u64At(original, entry(frames - 1) + 24)},
+  };
+  const std::string bad = tempPath("corrupt_order_bad.slog");
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = original;
+    putU64At(bytes, entry(c.entryIndex) + 16, c.timeStart);
+    putU64At(bytes, entry(c.entryIndex) + 24, c.timeEnd);
+    writeWholeFile(bad, bytes);
+    for (const ByteSource::Mode mode : kModes) {
+      EXPECT_THROW(SlogReader reader(bad, mode), CorruptFileError) << c.what;
+    }
   }
 }
 
