@@ -108,7 +108,7 @@ std::vector<SlogFramePtr> decodeAllFrames(const SlogReader& reader) {
 
 /// Best of twenty encodes of every frame in `encoding`, each frame into
 /// one reused buffer the way a SLOG writer seals it. A pass takes a few
-/// milliseconds, so it takes more passes than decode for a steady best.
+/// milliseconds, so it takes many passes for a steady best.
 double bestEncodeSeconds(const std::vector<SlogFramePtr>& frames,
                          FrameEncoding encoding) {
   std::vector<std::uint8_t> out;
@@ -286,10 +286,10 @@ void printSweep() {
     p.encodeSeconds = bestEncodeSeconds(decodeAllFrames(reader), encoding);
     p.frameBytes = totalFrameBytes(reader);
     p.records = decodeAllRecords(reader);  // warm: page cache + checksum
-    // Best of five full decodes, so the records/s figure is the decode
-    // loop, not a scheduler hiccup.
+    // Best of twenty full decodes, as for encode: a pass takes a few
+    // milliseconds, and on a shared host five did not settle the best.
     p.decodeSeconds = 1e9;
-    for (int rep = 0; rep < 5; ++rep) {
+    for (int rep = 0; rep < 20; ++rep) {
       const auto t0 = benchutil::now();
       const std::uint64_t got = decodeAllRecords(reader);
       p.decodeSeconds = std::min(p.decodeSeconds, benchutil::secondsSince(t0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "support/errors.h"
 
@@ -16,7 +17,10 @@ int treeDepth(int n) {
 }  // namespace
 
 MpiRuntime::MpiRuntime(Simulation& sim, MpiCostModel costs)
-    : sim_(sim), costs_(costs), worldSize_(sim.taskCount()) {
+    : sim_(sim),
+      costs_(costs),
+      worldSize_(sim.taskCount()),
+      calls_(static_cast<std::size_t>(sim.threadCount())) {
   unexpected_.resize(static_cast<std::size_t>(worldSize_));
   posted_.resize(static_cast<std::size_t>(worldSize_));
   collSeq_.resize(static_cast<std::size_t>(worldSize_), 0);
@@ -57,82 +61,62 @@ EventType MpiRuntime::eventTypeFor(OpKind kind) {
 void MpiRuntime::cutEntry(SimThread& thread, const Op& op,
                           std::uint32_t seqno) {
   const EventType type = eventTypeFor(op.kind);
+  ByteWriter& w = payload_;
   switch (op.kind) {
     case OpKind::kMpiSend:
-      sim_.cutEvent(thread, type, kFlagBegin,
-                    payloadMpiSend(op.peer, op.tag, op.bytes, seqno,
-                                   kCommWorld));
+      payloadMpiSend(w, op.peer, op.tag, op.bytes, seqno, kCommWorld);
       break;
-    case OpKind::kMpiIsend: {
-      ByteWriter w;
-      w.i32(op.peer);
-      w.i32(op.tag);
-      w.u32(op.bytes);
-      w.u32(seqno);
-      w.i32(kCommWorld);
+    case OpKind::kMpiIsend:
+      payloadMpiSend(w, op.peer, op.tag, op.bytes, seqno, kCommWorld);
       w.i32(op.reqSlot);
-      sim_.cutEvent(thread, type, kFlagBegin, w);
       break;
-    }
     case OpKind::kMpiRecv:
-      sim_.cutEvent(thread, type, kFlagBegin,
-                    payloadMpiRecvEntry(op.peer, op.tag, kCommWorld));
+      payloadMpiRecvEntry(w, op.peer, op.tag, kCommWorld);
       break;
-    case OpKind::kMpiIrecv: {
-      ByteWriter w;
-      w.i32(op.peer);
-      w.i32(op.tag);
-      w.i32(kCommWorld);
+    case OpKind::kMpiIrecv:
+      payloadMpiRecvEntry(w, op.peer, op.tag, kCommWorld);
       w.i32(op.reqSlot);
-      sim_.cutEvent(thread, type, kFlagBegin, w);
       break;
-    }
-    case OpKind::kMpiWait: {
-      ByteWriter w;
+    case OpKind::kMpiWait:
+      w.clear();
       w.i32(op.reqSlot);
-      sim_.cutEvent(thread, type, kFlagBegin, w);
       break;
-    }
     case OpKind::kMpiBcast:
     case OpKind::kMpiReduce:
-      sim_.cutEvent(thread, type, kFlagBegin,
-                    payloadMpiCollective(op.bytes, op.root, kCommWorld));
+      payloadMpiCollective(w, op.bytes, op.root, kCommWorld);
       break;
     case OpKind::kMpiAllreduce:
     case OpKind::kMpiAlltoall:
-      sim_.cutEvent(thread, type, kFlagBegin,
-                    payloadMpiCollective(op.bytes, 0, kCommWorld));
+      payloadMpiCollective(w, op.bytes, 0, kCommWorld);
       break;
-    case OpKind::kMpiBarrier: {
-      ByteWriter w;
+    case OpKind::kMpiBarrier:
+      w.clear();
       w.i32(kCommWorld);
-      sim_.cutEvent(thread, type, kFlagBegin, w);
       break;
-    }
     default:  // Init, Finalize: no arguments
-      sim_.cutEvent(thread, type, kFlagBegin, ByteWriter{});
+      w.clear();
       break;
   }
+  sim_.cutEvent(thread, type, kFlagBegin, w);
 }
 
 void MpiRuntime::cutExit(SimThread& thread, const Op& op) {
-  const EventType type = eventTypeFor(op.kind);
-  CallContext& ctx = calls_[thread.id];
+  CallContext& ctx = calls_[static_cast<std::size_t>(thread.id)];
   if (ctx.haveRecvResult) {
     const RecvResult& r = ctx.recvResult;
-    sim_.cutEvent(thread, type, kFlagEnd,
-                  payloadMpiRecvExit(r.src, r.tag, r.bytes, r.seqno));
+    payloadMpiRecvExit(payload_, r.src, r.tag, r.bytes, r.seqno);
   } else {
-    sim_.cutEvent(thread, type, kFlagEnd, ByteWriter{});
+    payload_.clear();
   }
-  calls_.erase(thread.id);
+  sim_.cutEvent(thread, eventTypeFor(op.kind), kFlagEnd, payload_);
+  ctx = CallContext{};
 }
 
 MpiService::EnterResult MpiRuntime::onEnter(SimThread& thread, const Op& op) {
   if (thread.task < 0 || thread.task >= worldSize_) {
     throw UsageError("MPI call from thread without a task");
   }
-  calls_[thread.id] = CallContext{};
+  calls_[static_cast<std::size_t>(thread.id)] = CallContext{};
   switch (op.kind) {
     case OpKind::kMpiSend:
       return enterSend(thread, op, /*immediate=*/false);
@@ -192,7 +176,7 @@ MpiService::EnterResult MpiRuntime::enterRecv(SimThread& thread,
     if (!matches(*it, op.peer, op.tag)) continue;
     // Message already arrived: copy it out and return without blocking.
     ++stats_.unexpectedMatches;
-    CallContext& ctx = calls_[thread.id];
+    CallContext& ctx = calls_[static_cast<std::size_t>(thread.id)];
     ctx.haveRecvResult = true;
     ctx.recvResult = {it->src, it->tag, it->bytes, it->seqno};
     const Tick copy = static_cast<Tick>(costs_.recvCopyNsPerByte *
@@ -244,7 +228,7 @@ MpiService::EnterResult MpiRuntime::enterWait(SimThread& thread,
   }
   Request& req = it->second;
   if (req.complete) {
-    CallContext& ctx = calls_[thread.id];
+    CallContext& ctx = calls_[static_cast<std::size_t>(thread.id)];
     Tick copy = 0;
     if (req.isRecv) {
       ++stats_.recvs;
@@ -329,7 +313,7 @@ void MpiRuntime::deliver(const Message& msg) {
     postedList.erase(it);
     if (posted.threadId >= 0) {
       // A blocking receive is waiting on this message.
-      CallContext& ctx = calls_[posted.threadId];
+      CallContext& ctx = calls_[static_cast<std::size_t>(posted.threadId)];
       ctx.haveRecvResult = true;
       ctx.recvResult = {msg.src, msg.tag, msg.bytes, msg.seqno};
       ctx.resumeCost = static_cast<Tick>(costs_.recvCopyNsPerByte *
@@ -341,7 +325,7 @@ void MpiRuntime::deliver(const Message& msg) {
       req.complete = true;
       req.result = {msg.src, msg.tag, msg.bytes, msg.seqno};
       if (req.waiter >= 0) {
-        CallContext& ctx = calls_[req.waiter];
+        CallContext& ctx = calls_[static_cast<std::size_t>(req.waiter)];
         ++stats_.recvs;
         ctx.haveRecvResult = true;
         ctx.recvResult = req.result;
@@ -358,11 +342,9 @@ void MpiRuntime::deliver(const Message& msg) {
 }
 
 Tick MpiRuntime::onResume(SimThread& thread, const Op&) {
-  const auto it = calls_.find(thread.id);
-  if (it == calls_.end()) return 0;
-  const Tick cost = it->second.resumeCost;
-  it->second.resumeCost = 0;
-  return cost;
+  // A slot reset by cutExit (or never entered) has no resume cost.
+  return std::exchange(
+      calls_[static_cast<std::size_t>(thread.id)].resumeCost, Tick{0});
 }
 
 void MpiRuntime::onExit(SimThread& thread, const Op& op) {

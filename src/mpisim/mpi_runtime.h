@@ -142,7 +142,10 @@ class MpiRuntime : public MpiService {
   std::vector<std::deque<Message>> unexpected_;   ///< per destination task
   std::vector<std::vector<PostedRecv>> posted_;   ///< per destination task
   std::unordered_map<std::int64_t, Request> requests_;
-  std::unordered_map<int, CallContext> calls_;    ///< per thread id
+  /// Per-call context by thread id, reset by each call's exit record.
+  std::vector<CallContext> calls_;
+  /// Scratch for the payload of every entry and exit record cut here.
+  ByteWriter payload_;
 
   /// Collective matching: tasks join instance `collSeq_[task]++` of their
   /// communicator; mismatched op kinds across tasks are detected.

@@ -86,15 +86,16 @@ void Simulation::cutThreadInfoRecords() {
     NodeRt& node = nodeOf(t);
     node.session->cut(
         EventType::kThreadInfo, 0, 0, t.ltid, localNow(node),
-        payloadThreadInfo(t.ltid, 1000 + t.processIndex, 10000 + t.id,
-                          t.task, t.type));
+        payloadThreadInfo(payload_, t.ltid, 1000 + t.processIndex,
+                          10000 + t.id, t.task, t.type));
   }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     NodeRt& node = nodes_[n];
     node.session->cut(
         EventType::kThreadInfo, 0, 0, node.daemonLtid, localNow(node),
-        payloadThreadInfo(node.daemonLtid, 1, 10000 + 100000 * (1 + static_cast<int>(n)),
-                          -1, ThreadType::kSystem));
+        payloadThreadInfo(payload_, node.daemonLtid, 1,
+                          10000 + 100000 * (1 + static_cast<int>(n)), -1,
+                          ThreadType::kSystem));
   }
 }
 
@@ -115,7 +116,7 @@ void Simulation::scheduleDaemonTick(NodeId nodeId, Tick at) {
       NodeRt& n = nodes_[static_cast<std::size_t>(nodeId)];
       const Tick local = localNow(n);
       n.session->cut(EventType::kGlobalClock, 0, 0, n.daemonLtid, local,
-                     payloadGlobalClock(global, local));
+                     payloadGlobalClock(payload_, global, local));
     };
     if (cutDelay == 0) {
       cutRecord();
@@ -136,7 +137,7 @@ void Simulation::run() {
     NodeRt& node = nodes_[n];
     const Tick local = localNow(node);
     node.session->cut(EventType::kGlobalClock, 0, 0, node.daemonLtid, local,
-                      payloadGlobalClock(engine_.now(), local));
+                      payloadGlobalClock(payload_, engine_.now(), local));
     scheduleDaemonTick(static_cast<NodeId>(n),
                        config_.clockDaemon.firstAtNs);
   }
@@ -157,7 +158,7 @@ void Simulation::run() {
   for (NodeRt& node : nodes_) {
     const Tick local = localNow(node);
     node.session->cut(EventType::kGlobalClock, 0, 0, node.daemonLtid, local,
-                      payloadGlobalClock(engine_.now(), local));
+                      payloadGlobalClock(payload_, engine_.now(), local));
     node.session->close();
   }
 }
@@ -253,7 +254,8 @@ void Simulation::dispatchOn(NodeId nodeId, int cpuIdx, int threadId,
 
   node.session->cut(EventType::kThreadDispatch, 0, cpuIdx, t.ltid,
                     localNow(node),
-                    payloadThreadDispatch(prevLtid, t.ltid, prevExited));
+                    payloadThreadDispatch(payload_, prevLtid, t.ltid,
+                                          prevExited));
 
   cpu.running = threadId;
   ++cpu.epoch;
@@ -460,9 +462,9 @@ void Simulation::interpret(int threadId) {
           t.faultedThisOp = true;
           const std::uint64_t addr =
               0x7f0000000000ULL + (rng_.next() & 0xffffff000ULL);
-          ByteWriter payload;
-          payload.u64(addr);
-          cutEvent(t, EventType::kPageFault, 0, payload);
+          payload_.clear();
+          payload_.u64(addr);
+          cutEvent(t, EventType::kPageFault, 0, payload_);
           const Tick wakeAt =
               engine_.now() + config_.costs.pageFaultServiceNs;
           t.activity = ThreadActivity::kNone;
@@ -494,7 +496,8 @@ void Simulation::interpret(int threadId) {
         const std::size_t before = reg.entries().size();
         const std::uint32_t id = reg.define(op.marker);
         if (reg.entries().size() != before) {
-          cutEvent(t, EventType::kMarkerDef, 0, payloadMarkerDef(id, op.marker));
+          cutEvent(t, EventType::kMarkerDef, 0,
+                   payloadMarkerDef(payload_, id, op.marker));
         }
         const std::uint64_t instrAddr =
             (static_cast<std::uint64_t>(t.processIndex) << 32) |
@@ -502,7 +505,7 @@ void Simulation::interpret(int threadId) {
         const std::uint8_t flag =
             op.kind == OpKind::kMarkerBegin ? kFlagBegin : kFlagEnd;
         cutEvent(t, EventType::kUserMarker, flag,
-                 payloadUserMarker(id, instrAddr));
+                 payloadUserMarker(payload_, id, instrAddr));
         t.activity = ThreadActivity::kMarker;
         t.activityRemaining = std::max<Tick>(config_.costs.markerCallNs, 1);
         ++t.pc;
@@ -512,11 +515,11 @@ void Simulation::interpret(int threadId) {
       case OpKind::kIoRead:
       case OpKind::kIoWrite: {
         zeroStepGuard_ = 0;
-        ByteWriter payload;
-        payload.u32(op.bytes);
+        payload_.clear();
+        payload_.u32(op.bytes);
         cutEvent(t, op.kind == OpKind::kIoRead ? EventType::kIoRead
                                                : EventType::kIoWrite,
-                 kFlagBegin, payload);
+                 kFlagBegin, payload_);
         t.callOp = t.pc;
         // Post the request on the CPU first so the call gets a non-empty
         // begin piece, then block for the device time.
@@ -594,7 +597,7 @@ void Simulation::releaseCpu(int threadId) {
     // Processor goes idle; one dispatch record with new = -1.
     node.session->cut(EventType::kThreadDispatch, 0, cpuIdx, -1,
                       localNow(node),
-                      payloadThreadDispatch(t.ltid, -1, exited));
+                      payloadThreadDispatch(payload_, t.ltid, -1, exited));
   }
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,6 +200,9 @@ class Simulation {
   Tick finishTime_ = 0;
   bool ran_ = false;
   std::uint64_t zeroStepGuard_ = 0;
+  /// Scratch for every record payload the scheduler cuts: filled by a
+  /// payload builder, cut, and reused, so cutting allocates nothing.
+  ByteWriter payload_;
 };
 
 }  // namespace ute

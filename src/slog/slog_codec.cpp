@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "slog/kernels.h"
+#include "support/bytes.h"
 #include "support/errors.h"
 #include "support/scratch.h"
 
@@ -447,48 +448,40 @@ void decodeColumnarFrame(std::span<const std::uint8_t> payload,
   trim(scratch);
 }
 
+namespace {
+/// Bytes of one v1 row: a kind byte, then the record's fixed fields.
+constexpr std::size_t kRowIntervalBytes = 1 + 4 + 1 + 1 + 8 + 8 + 4 + 4 + 4;
+constexpr std::size_t kRowArrowBytes = 1 + 4 + 4 + 8 + 4 + 4 + 8 + 4;
+}  // namespace
+
 void encodeRowInterval(std::vector<std::uint8_t>& out,
                        const SlogInterval& r) {
-  const auto le32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto le64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  out.push_back(0);  // kind: interval
-  le32(r.stateId);
-  out.push_back(r.bebits);
-  out.push_back(r.pseudo ? 1 : 0);
-  le64(r.start);
-  le64(r.dura);
-  le32(static_cast<std::uint32_t>(r.node));
-  le32(static_cast<std::uint32_t>(r.cpu));
-  le32(static_cast<std::uint32_t>(r.thread));
+  const std::size_t at = out.size();
+  out.resize(at + kRowIntervalBytes);
+  std::uint8_t* p = out.data() + at;
+  *p++ = 0;  // kind: interval
+  p = storeLe(p, r.stateId);
+  *p++ = r.bebits;
+  *p++ = r.pseudo ? 1 : 0;
+  p = storeLe(p, r.start);
+  p = storeLe(p, r.dura);
+  p = storeLe(p, static_cast<std::uint32_t>(r.node));
+  p = storeLe(p, static_cast<std::uint32_t>(r.cpu));
+  storeLe(p, static_cast<std::uint32_t>(r.thread));
 }
 
 void encodeRowArrow(std::vector<std::uint8_t>& out, const SlogArrow& a) {
-  const auto le32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto le64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  out.push_back(1);  // kind: arrow
-  le32(static_cast<std::uint32_t>(a.srcNode));
-  le32(static_cast<std::uint32_t>(a.srcThread));
-  le64(a.sendTime);
-  le32(static_cast<std::uint32_t>(a.dstNode));
-  le32(static_cast<std::uint32_t>(a.dstThread));
-  le64(a.recvTime);
-  le32(a.bytes);
+  const std::size_t at = out.size();
+  out.resize(at + kRowArrowBytes);
+  std::uint8_t* p = out.data() + at;
+  *p++ = 1;  // kind: arrow
+  p = storeLe(p, static_cast<std::uint32_t>(a.srcNode));
+  p = storeLe(p, static_cast<std::uint32_t>(a.srcThread));
+  p = storeLe(p, a.sendTime);
+  p = storeLe(p, static_cast<std::uint32_t>(a.dstNode));
+  p = storeLe(p, static_cast<std::uint32_t>(a.dstThread));
+  p = storeLe(p, a.recvTime);
+  storeLe(p, a.bytes);
 }
 
 }  // namespace ute

@@ -19,6 +19,17 @@
 
 namespace ute {
 
+/// Stores `v` little-endian at `p` and returns the byte after it: the
+/// raw-pointer form of ByteWriter, for writers that size their output
+/// once and then fill it.
+template <typename T>
+inline std::uint8_t* storeLe(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return p + sizeof(T);
+}
+
 /// Appends little-endian scalars to an in-memory buffer.
 class ByteWriter {
  public:
@@ -61,9 +72,9 @@ class ByteWriter {
  private:
   template <typename T>
   void putLe(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    storeLe(buf_.data() + at, v);
   }
 
   std::vector<std::uint8_t> buf_;

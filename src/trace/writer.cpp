@@ -1,5 +1,7 @@
 #include "trace/writer.h"
 
+#include <cstring>
+
 #include "support/errors.h"
 
 namespace ute {
@@ -34,8 +36,9 @@ TraceSession::TraceSession(const TraceOptions& options, NodeId node,
 
   // The node-info record is a control record: always cut, so readers know
   // the topology even when tracing proper starts later.
+  ByteWriter payload;
   cut(EventType::kNodeInfo, 0, 0, -1, initialLocalTs,
-      payloadNodeInfo(node, cpuCount));
+      payloadNodeInfo(payload, node, cpuCount));
 }
 
 TraceSession::~TraceSession() {
@@ -87,13 +90,13 @@ void TraceSession::cut(EventType type, std::uint8_t flags, CpuId cpu,
   if (highWord != lastHighWord_) {
     lastHighWord_ = highWord;
     if (type != EventType::kTimestampWrap) {
-      ByteWriter wrap;
-      wrap.u32(highWord);
+      std::uint8_t wrap[4];
+      storeLe(wrap, highWord);
       ++stats_.wrapRecords;
       // Recurse once; the wrap record itself never needs another wrap.
       // Wrap records are transparent bookkeeping: readers consume them
       // silently, so they are not counted in eventsCut.
-      cut(EventType::kTimestampWrap, 0, cpu, ltid, localTs, wrap.view());
+      cut(EventType::kTimestampWrap, 0, cpu, ltid, localTs, wrap);
       --stats_.eventsCut;
     }
   }
@@ -111,20 +114,14 @@ void TraceSession::cut(EventType type, std::uint8_t flags, CpuId cpu,
   const std::uint32_t hw = makeHookword(
       type, flags,
       extended ? kExtendedLength : static_cast<std::uint8_t>(payload.size()));
-  const auto tsLow = static_cast<std::uint32_t>(localTs & 0xffffffffu);
-  const std::uint32_t ctx = makeContext(cpu, ltid);
-  const std::uint32_t words[3] = {hw, tsLow, ctx};
-  for (std::uint32_t w : words) {
-    for (int i = 0; i < 4; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-    }
-  }
-  if (extended) {
-    const auto n = static_cast<std::uint16_t>(payload.size());
-    buffer_.push_back(static_cast<std::uint8_t>(n & 0xff));
-    buffer_.push_back(static_cast<std::uint8_t>(n >> 8));
-  }
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + recordSize);
+  std::uint8_t* p = buffer_.data() + at;
+  p = storeLe(p, hw);
+  p = storeLe(p, static_cast<std::uint32_t>(localTs & 0xffffffffu));
+  p = storeLe(p, makeContext(cpu, ltid));
+  if (extended) p = storeLe(p, static_cast<std::uint16_t>(payload.size()));
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
   ++stats_.eventsCut;
 }
 
@@ -143,93 +140,96 @@ void TraceSession::close() {
   closed_ = true;
 }
 
-ByteWriter payloadThreadDispatch(LogicalThreadId oldTid,
-                                 LogicalThreadId newTid, bool oldExited) {
-  ByteWriter w;
-  w.i32(oldTid);
-  w.i32(newTid);
-  w.u32(oldExited ? 1 : 0);
-  return w;
+ByteWriter& payloadThreadDispatch(ByteWriter& out, LogicalThreadId oldTid,
+                                  LogicalThreadId newTid, bool oldExited) {
+  out.clear();
+  out.i32(oldTid);
+  out.i32(newTid);
+  out.u32(oldExited ? 1 : 0);
+  return out;
 }
 
-ByteWriter payloadThreadInfo(LogicalThreadId ltid, std::int32_t pid,
-                             std::int32_t systemTid, TaskId mpiTask,
-                             ThreadType type) {
-  ByteWriter w;
-  w.i32(ltid);
-  w.i32(pid);
-  w.i32(systemTid);
-  w.i32(mpiTask);
-  w.u8(static_cast<std::uint8_t>(type));
-  return w;
+ByteWriter& payloadThreadInfo(ByteWriter& out, LogicalThreadId ltid,
+                              std::int32_t pid, std::int32_t systemTid,
+                              TaskId mpiTask, ThreadType type) {
+  out.clear();
+  out.i32(ltid);
+  out.i32(pid);
+  out.i32(systemTid);
+  out.i32(mpiTask);
+  out.u8(static_cast<std::uint8_t>(type));
+  return out;
 }
 
-ByteWriter payloadGlobalClock(Tick globalNs, Tick localNs) {
-  ByteWriter w;
-  w.u64(globalNs);
-  w.u64(localNs);
-  return w;
+ByteWriter& payloadGlobalClock(ByteWriter& out, Tick globalNs, Tick localNs) {
+  out.clear();
+  out.u64(globalNs);
+  out.u64(localNs);
+  return out;
 }
 
-ByteWriter payloadMarkerDef(std::uint32_t markerId, std::string_view name) {
-  ByteWriter w;
-  w.u32(markerId);
-  w.lstring(name);
-  return w;
+ByteWriter& payloadMarkerDef(ByteWriter& out, std::uint32_t markerId,
+                             std::string_view name) {
+  out.clear();
+  out.u32(markerId);
+  out.lstring(name);
+  return out;
 }
 
-ByteWriter payloadUserMarker(std::uint32_t markerId,
-                             std::uint64_t instrAddr) {
-  ByteWriter w;
-  w.u32(markerId);
-  w.u64(instrAddr);
-  return w;
+ByteWriter& payloadUserMarker(ByteWriter& out, std::uint32_t markerId,
+                              std::uint64_t instrAddr) {
+  out.clear();
+  out.u32(markerId);
+  out.u64(instrAddr);
+  return out;
 }
 
-ByteWriter payloadNodeInfo(NodeId node, std::int32_t cpuCount) {
-  ByteWriter w;
-  w.i32(node);
-  w.i32(cpuCount);
-  return w;
+ByteWriter& payloadNodeInfo(ByteWriter& out, NodeId node,
+                            std::int32_t cpuCount) {
+  out.clear();
+  out.i32(node);
+  out.i32(cpuCount);
+  return out;
 }
 
-ByteWriter payloadMpiSend(TaskId dest, std::int32_t tag, std::uint32_t bytes,
-                          std::uint32_t seqno, std::int32_t comm) {
-  ByteWriter w;
-  w.i32(dest);
-  w.i32(tag);
-  w.u32(bytes);
-  w.u32(seqno);
-  w.i32(comm);
-  return w;
+ByteWriter& payloadMpiSend(ByteWriter& out, TaskId dest, std::int32_t tag,
+                           std::uint32_t bytes, std::uint32_t seqno,
+                           std::int32_t comm) {
+  out.clear();
+  out.i32(dest);
+  out.i32(tag);
+  out.u32(bytes);
+  out.u32(seqno);
+  out.i32(comm);
+  return out;
 }
 
-ByteWriter payloadMpiRecvEntry(TaskId src, std::int32_t tag,
-                               std::int32_t comm) {
-  ByteWriter w;
-  w.i32(src);
-  w.i32(tag);
-  w.i32(comm);
-  return w;
-}
-
-ByteWriter payloadMpiRecvExit(TaskId src, std::int32_t tag,
-                              std::uint32_t bytes, std::uint32_t seqno) {
-  ByteWriter w;
-  w.i32(src);
-  w.i32(tag);
-  w.u32(bytes);
-  w.u32(seqno);
-  return w;
-}
-
-ByteWriter payloadMpiCollective(std::uint32_t bytes, TaskId root,
+ByteWriter& payloadMpiRecvEntry(ByteWriter& out, TaskId src, std::int32_t tag,
                                 std::int32_t comm) {
-  ByteWriter w;
-  w.u32(bytes);
-  w.i32(root);
-  w.i32(comm);
-  return w;
+  out.clear();
+  out.i32(src);
+  out.i32(tag);
+  out.i32(comm);
+  return out;
+}
+
+ByteWriter& payloadMpiRecvExit(ByteWriter& out, TaskId src, std::int32_t tag,
+                               std::uint32_t bytes, std::uint32_t seqno) {
+  out.clear();
+  out.i32(src);
+  out.i32(tag);
+  out.u32(bytes);
+  out.u32(seqno);
+  return out;
+}
+
+ByteWriter& payloadMpiCollective(ByteWriter& out, std::uint32_t bytes,
+                                 TaskId root, std::int32_t comm) {
+  out.clear();
+  out.u32(bytes);
+  out.i32(root);
+  out.i32(comm);
+  return out;
 }
 
 }  // namespace ute

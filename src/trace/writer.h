@@ -122,27 +122,34 @@ class TraceSession {
 
 // --- payload builders --------------------------------------------------
 // Encoders for each event type's payload, shared by the simulator-side
-// instrumentation and by tests that craft records directly.
+// instrumentation and by tests that craft records directly. Each one
+// clears `out`, writes the payload into it and returns it, so a payload
+// can be built inside the call that cuts it, and a caller that keeps one
+// scratch writer for all its cuts makes no allocation per record.
 
 /// `oldExited` marks the descheduled thread as terminated (rather than
 /// preempted or blocked) so the converter can seal its open states.
-ByteWriter payloadThreadDispatch(LogicalThreadId oldTid,
-                                 LogicalThreadId newTid,
-                                 bool oldExited = false);
-ByteWriter payloadThreadInfo(LogicalThreadId ltid, std::int32_t pid,
-                             std::int32_t systemTid, TaskId mpiTask,
-                             ThreadType type);
-ByteWriter payloadGlobalClock(Tick globalNs, Tick localNs);
-ByteWriter payloadMarkerDef(std::uint32_t markerId, std::string_view name);
-ByteWriter payloadUserMarker(std::uint32_t markerId, std::uint64_t instrAddr);
-ByteWriter payloadNodeInfo(NodeId node, std::int32_t cpuCount);
-ByteWriter payloadMpiSend(TaskId dest, std::int32_t tag, std::uint32_t bytes,
-                          std::uint32_t seqno, std::int32_t comm);
-ByteWriter payloadMpiRecvEntry(TaskId src, std::int32_t tag,
-                               std::int32_t comm);
-ByteWriter payloadMpiRecvExit(TaskId src, std::int32_t tag,
-                              std::uint32_t bytes, std::uint32_t seqno);
-ByteWriter payloadMpiCollective(std::uint32_t bytes, TaskId root,
+ByteWriter& payloadThreadDispatch(ByteWriter& out, LogicalThreadId oldTid,
+                                  LogicalThreadId newTid,
+                                  bool oldExited = false);
+ByteWriter& payloadThreadInfo(ByteWriter& out, LogicalThreadId ltid,
+                              std::int32_t pid, std::int32_t systemTid,
+                              TaskId mpiTask, ThreadType type);
+ByteWriter& payloadGlobalClock(ByteWriter& out, Tick globalNs, Tick localNs);
+ByteWriter& payloadMarkerDef(ByteWriter& out, std::uint32_t markerId,
+                             std::string_view name);
+ByteWriter& payloadUserMarker(ByteWriter& out, std::uint32_t markerId,
+                              std::uint64_t instrAddr);
+ByteWriter& payloadNodeInfo(ByteWriter& out, NodeId node,
+                            std::int32_t cpuCount);
+ByteWriter& payloadMpiSend(ByteWriter& out, TaskId dest, std::int32_t tag,
+                           std::uint32_t bytes, std::uint32_t seqno,
+                           std::int32_t comm);
+ByteWriter& payloadMpiRecvEntry(ByteWriter& out, TaskId src, std::int32_t tag,
                                 std::int32_t comm);
+ByteWriter& payloadMpiRecvExit(ByteWriter& out, TaskId src, std::int32_t tag,
+                               std::uint32_t bytes, std::uint32_t seqno);
+ByteWriter& payloadMpiCollective(ByteWriter& out, std::uint32_t bytes,
+                                 TaskId root, std::int32_t comm);
 
 }  // namespace ute

@@ -57,26 +57,29 @@ std::vector<Rec> convertAndRead(const std::string& rawPath,
 /// A session pre-loaded with one thread-info record for ltid 0 (task 0).
 std::unique_ptr<TraceSession> newSession(const std::string& prefix,
                                          int nThreads = 1) {
+  ByteWriter scratch;
   TraceOptions options;
   options.filePrefix = tempPrefix(prefix);
   auto session = std::make_unique<TraceSession>(options, /*node=*/0, 4);
   for (int i = 0; i < nThreads; ++i) {
     session->cut(EventType::kThreadInfo, 0, 0, i, 0,
-                 payloadThreadInfo(i, 1000, 10000 + i, 0, ThreadType::kMpi));
+                 payloadThreadInfo(scratch, i, 1000, 10000 + i, 0,
+                                   ThreadType::kMpi));
   }
   return session;
 }
 
 TEST(Convert, UninterruptedCallBecomesCompleteInterval) {
+  ByteWriter scratch;
   auto session = newSession("conv_complete");
   const std::string raw = session->filePath();
   session->cut(EventType::kThreadDispatch, 0, 2, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMpiSend, kFlagBegin, 2, 0, 200,
-               payloadMpiSend(1, 7, 512, 1, 0));
+               payloadMpiSend(scratch, 1, 7, 512, 1, 0));
   session->cut(EventType::kMpiSend, kFlagEnd, 2, 0, 260, ByteWriter{});
   session->cut(EventType::kThreadDispatch, 0, 2, -1, 400,
-               payloadThreadDispatch(0, -1, /*oldExited=*/true));
+               payloadThreadDispatch(scratch, 0, -1, /*oldExited=*/true));
   session->close();
 
   const auto recs = convertAndRead(raw, tempPrefix("conv_complete.uti"));
@@ -101,28 +104,29 @@ TEST(Convert, UninterruptedCallBecomesCompleteInterval) {
 }
 
 TEST(Convert, DeschedulingSplitsCallIntoPieces) {
+  ByteWriter scratch;
   auto session = newSession("conv_pieces", 2);
   const std::string raw = session->filePath();
   // Thread 0 enters a recv, is descheduled twice during it, resumes on a
   // different cpu, then exits the call: begin + continuation + end.
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMpiRecv, kFlagBegin, 0, 0, 150,
-               payloadMpiRecvEntry(-1, 9, 0));
+               payloadMpiRecvEntry(scratch, -1, 9, 0));
   session->cut(EventType::kThreadDispatch, 0, 0, 1, 200,
-               payloadThreadDispatch(0, 1));  // 0 out, 1 in
+               payloadThreadDispatch(scratch, 0, 1));  // 0 out, 1 in
   session->cut(EventType::kThreadDispatch, 0, 1, 0, 300,
-               payloadThreadDispatch(1, 0));  // 0 back in on cpu 1
+               payloadThreadDispatch(scratch, 1, 0));  // 0 back in on cpu 1
   session->cut(EventType::kThreadDispatch, 0, 1, 1, 350,
-               payloadThreadDispatch(0, 1));  // 0 out again
+               payloadThreadDispatch(scratch, 0, 1));  // 0 out again
   session->cut(EventType::kThreadDispatch, 0, 3, 0, 420,
-               payloadThreadDispatch(1, 0));  // 0 in on cpu 3
+               payloadThreadDispatch(scratch, 1, 0));  // 0 in on cpu 3
   session->cut(EventType::kMpiRecv, kFlagEnd, 3, 0, 500,
-               payloadMpiRecvExit(2, 9, 64, 5));
+               payloadMpiRecvExit(scratch, 2, 9, 64, 5));
   session->cut(EventType::kThreadDispatch, 0, 3, -1, 600,
-               payloadThreadDispatch(0, -1, true));
+               payloadThreadDispatch(scratch, 0, -1, true));
   session->cut(EventType::kThreadDispatch, 0, 1, -1, 650,
-               payloadThreadDispatch(1, -1, true));
+               payloadThreadDispatch(scratch, 1, -1, true));
   session->close();
 
   const auto recs = convertAndRead(raw, tempPrefix("conv_pieces.uti"));
@@ -146,21 +150,22 @@ TEST(Convert, DeschedulingSplitsCallIntoPieces) {
 }
 
 TEST(Convert, NestedMarkersSplitOuterStates) {
+  ByteWriter scratch;
   // Marker 1 contains marker 2 which contains an MPI call: exactly the
   // Section 3.3 example. The outer marker's pieces are begin + end; the
   // inner one is split by the MPI interval.
   auto session = newSession("conv_nested");
   const std::string raw = session->filePath();
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMarkerDef, 0, 0, 0, 110,
-               payloadMarkerDef(1, "outer"));
+               payloadMarkerDef(scratch, 1, "outer"));
   session->cut(EventType::kUserMarker, kFlagBegin, 0, 0, 110,
-               payloadUserMarker(1, 0x100));
+               payloadUserMarker(scratch, 1, 0x100));
   session->cut(EventType::kMarkerDef, 0, 0, 0, 130,
-               payloadMarkerDef(2, "inner"));
+               payloadMarkerDef(scratch, 2, "inner"));
   session->cut(EventType::kUserMarker, kFlagBegin, 0, 0, 130,
-               payloadUserMarker(2, 0x200));
+               payloadUserMarker(scratch, 2, 0x200));
   session->cut(EventType::kMpiBarrier, kFlagBegin, 0, 0, 200, [] {
     ByteWriter w;
     w.i32(0);
@@ -168,11 +173,11 @@ TEST(Convert, NestedMarkersSplitOuterStates) {
   }());
   session->cut(EventType::kMpiBarrier, kFlagEnd, 0, 0, 280, ByteWriter{});
   session->cut(EventType::kUserMarker, kFlagEnd, 0, 0, 350,
-               payloadUserMarker(2, 0x208));
+               payloadUserMarker(scratch, 2, 0x208));
   session->cut(EventType::kUserMarker, kFlagEnd, 0, 0, 400,
-               payloadUserMarker(1, 0x108));
+               payloadUserMarker(scratch, 1, 0x108));
   session->cut(EventType::kThreadDispatch, 0, 0, -1, 450,
-               payloadThreadDispatch(0, -1, true));
+               payloadThreadDispatch(scratch, 0, -1, true));
   session->close();
 
   const auto recs = convertAndRead(raw, tempPrefix("conv_nested.uti"));
@@ -210,22 +215,23 @@ TEST(Convert, NestedMarkersSplitOuterStates) {
 }
 
 TEST(Convert, ArgumentsLandOnFirstAndLastPieces) {
+  ByteWriter scratch;
   auto session = newSession("conv_args", 2);
   const std::string raw = session->filePath();
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMpiRecv, kFlagBegin, 0, 0, 150,
-               payloadMpiRecvEntry(3, 9, 0));
+               payloadMpiRecvEntry(scratch, 3, 9, 0));
   session->cut(EventType::kThreadDispatch, 0, 0, 1, 200,
-               payloadThreadDispatch(0, 1));
+               payloadThreadDispatch(scratch, 0, 1));
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 300,
-               payloadThreadDispatch(1, 0));
+               payloadThreadDispatch(scratch, 1, 0));
   session->cut(EventType::kMpiRecv, kFlagEnd, 0, 0, 380,
-               payloadMpiRecvExit(3, 9, 2048, 77));
+               payloadMpiRecvExit(scratch, 3, 9, 2048, 77));
   session->cut(EventType::kThreadDispatch, 0, 0, -1, 400,
-               payloadThreadDispatch(0, -1, true));
+               payloadThreadDispatch(scratch, 0, -1, true));
   session->cut(EventType::kThreadDispatch, 0, 1, -1, 410,
-               payloadThreadDispatch(1, -1, true));
+               payloadThreadDispatch(scratch, 1, -1, true));
   session->close();
 
   MarkerUnifier markers;
@@ -256,12 +262,13 @@ TEST(Convert, ArgumentsLandOnFirstAndLastPieces) {
 }
 
 TEST(Convert, GlobalClockRecordsBecomeClockSyncIntervals) {
+  ByteWriter scratch;
   auto session = newSession("conv_clock");
   const std::string raw = session->filePath();
   session->cut(EventType::kGlobalClock, 0, 0, 0, 500,
-               payloadGlobalClock(480, 500));
+               payloadGlobalClock(scratch, 480, 500));
   session->cut(EventType::kGlobalClock, 0, 0, 0, 1500,
-               payloadGlobalClock(1480, 1500));
+               payloadGlobalClock(scratch, 1480, 1500));
   session->close();
 
   const auto recs = convertAndRead(raw, tempPrefix("conv_clock.uti"));
@@ -279,6 +286,7 @@ TEST(Convert, GlobalClockRecordsBecomeClockSyncIntervals) {
 }
 
 TEST(Convert, MarkerIdsUnifiedAcrossTasks) {
+  ByteWriter scratch;
   // Two "tasks" on two nodes define the same strings in opposite orders,
   // so their task-local ids collide (Section 3.1). After conversion with
   // a shared unifier, equal strings share one id everywhere.
@@ -286,31 +294,41 @@ TEST(Convert, MarkerIdsUnifiedAcrossTasks) {
   optionsA.filePrefix = tempPrefix("conv_unify");
   TraceSession a(optionsA, 0, 1);
   a.cut(EventType::kThreadInfo, 0, 0, 0, 0,
-        payloadThreadInfo(0, 1000, 10000, 0, ThreadType::kMpi));
-  a.cut(EventType::kThreadDispatch, 0, 0, 0, 10, payloadThreadDispatch(-1, 0));
-  a.cut(EventType::kMarkerDef, 0, 0, 0, 20, payloadMarkerDef(1, "Init"));
+        payloadThreadInfo(scratch, 0, 1000, 10000, 0, ThreadType::kMpi));
+  a.cut(EventType::kThreadDispatch, 0, 0, 0, 10,
+        payloadThreadDispatch(scratch, -1, 0));
+  a.cut(EventType::kMarkerDef, 0, 0, 0, 20,
+        payloadMarkerDef(scratch, 1, "Init"));
   a.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 20,
-        payloadUserMarker(1, 0));
-  a.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 30, payloadUserMarker(1, 0));
-  a.cut(EventType::kMarkerDef, 0, 0, 0, 40, payloadMarkerDef(2, "Work"));
+        payloadUserMarker(scratch, 1, 0));
+  a.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 30,
+        payloadUserMarker(scratch, 1, 0));
+  a.cut(EventType::kMarkerDef, 0, 0, 0, 40,
+        payloadMarkerDef(scratch, 2, "Work"));
   a.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 40,
-        payloadUserMarker(2, 0));
-  a.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 50, payloadUserMarker(2, 0));
+        payloadUserMarker(scratch, 2, 0));
+  a.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 50,
+        payloadUserMarker(scratch, 2, 0));
   a.close();
 
   TraceSession b(optionsA, 1, 1);  // same prefix, node 1
   b.cut(EventType::kThreadInfo, 0, 0, 0, 0,
-        payloadThreadInfo(0, 1001, 10001, 1, ThreadType::kMpi));
-  b.cut(EventType::kThreadDispatch, 0, 0, 0, 10, payloadThreadDispatch(-1, 0));
+        payloadThreadInfo(scratch, 0, 1001, 10001, 1, ThreadType::kMpi));
+  b.cut(EventType::kThreadDispatch, 0, 0, 0, 10,
+        payloadThreadDispatch(scratch, -1, 0));
   // Opposite definition order: "Work" gets local id 1 here.
-  b.cut(EventType::kMarkerDef, 0, 0, 0, 20, payloadMarkerDef(1, "Work"));
+  b.cut(EventType::kMarkerDef, 0, 0, 0, 20,
+        payloadMarkerDef(scratch, 1, "Work"));
   b.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 20,
-        payloadUserMarker(1, 0));
-  b.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 30, payloadUserMarker(1, 0));
-  b.cut(EventType::kMarkerDef, 0, 0, 0, 40, payloadMarkerDef(2, "Init"));
+        payloadUserMarker(scratch, 1, 0));
+  b.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 30,
+        payloadUserMarker(scratch, 1, 0));
+  b.cut(EventType::kMarkerDef, 0, 0, 0, 40,
+        payloadMarkerDef(scratch, 2, "Init"));
   b.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 40,
-        payloadUserMarker(2, 0));
-  b.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 50, payloadUserMarker(2, 0));
+        payloadUserMarker(scratch, 2, 0));
+  b.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 50,
+        payloadUserMarker(scratch, 2, 0));
   b.close();
 
   const auto results =
@@ -333,29 +351,30 @@ TEST(Convert, MarkerIdsUnifiedAcrossTasks) {
 }
 
 TEST(Convert, RecordsEmittedInEndTimeOrder) {
+  ByteWriter scratch;
   auto session = newSession("conv_order", 3);
   const std::string raw = session->filePath();
   // Interleave activity on three threads across two cpus.
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kThreadDispatch, 0, 1, 1, 110,
-               payloadThreadDispatch(-1, 1));
+               payloadThreadDispatch(scratch, -1, 1));
   session->cut(EventType::kMpiBarrier, kFlagBegin, 0, 0, 150, [] {
     ByteWriter w;
     w.i32(0);
     return w;
   }());
   session->cut(EventType::kThreadDispatch, 0, 0, 2, 200,
-               payloadThreadDispatch(0, 2));
+               payloadThreadDispatch(scratch, 0, 2));
   session->cut(EventType::kThreadDispatch, 0, 1, -1, 260,
-               payloadThreadDispatch(1, -1, true));
+               payloadThreadDispatch(scratch, 1, -1, true));
   session->cut(EventType::kThreadDispatch, 0, 1, 0, 300,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMpiBarrier, kFlagEnd, 1, 0, 380, ByteWriter{});
   session->cut(EventType::kThreadDispatch, 0, 1, -1, 420,
-               payloadThreadDispatch(0, -1, true));
+               payloadThreadDispatch(scratch, 0, -1, true));
   session->cut(EventType::kThreadDispatch, 0, 0, -1, 500,
-               payloadThreadDispatch(2, -1, true));
+               payloadThreadDispatch(scratch, 2, -1, true));
   session->close();
 
   const auto recs = convertAndRead(raw, tempPrefix("conv_order.uti"));
@@ -441,14 +460,15 @@ TEST(MarkerUnifier, ConcurrentUnifyIsConsistent) {
 }
 
 TEST(Convert, MismatchedExitRejected) {
+  ByteWriter scratch;
   auto session = newSession("conv_mismatch");
   const std::string raw = session->filePath();
   session->cut(EventType::kThreadDispatch, 0, 0, 0, 100,
-               payloadThreadDispatch(-1, 0));
+               payloadThreadDispatch(scratch, -1, 0));
   session->cut(EventType::kMpiSend, kFlagBegin, 0, 0, 150,
-               payloadMpiSend(1, 0, 8, 1, 0));
+               payloadMpiSend(scratch, 1, 0, 8, 1, 0));
   session->cut(EventType::kMpiRecv, kFlagEnd, 0, 0, 200,
-               payloadMpiRecvExit(0, 0, 8, 1));
+               payloadMpiRecvExit(scratch, 0, 0, 8, 1));
   session->close();
 
   MarkerUnifier markers;

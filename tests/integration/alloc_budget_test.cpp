@@ -1,6 +1,7 @@
-// Allocation budgets of the per-record path (docs/PIPELINE.md): convert,
-// merge, statistics and the SVG renderer write into buffers they keep,
-// so the heap allocations a stage makes do not grow with its records.
+// Allocation budgets of the per-record path (docs/PIPELINE.md): the
+// simulator, convert, merge, statistics and the SVG renderer write into
+// buffers they keep, so the heap allocations a stage makes do not grow
+// with its events or records.
 // The query path (docs/SERVER.md) is held to per-request budgets the
 // same way: processRequest() answers a warm request with one allocation,
 // its reply, and a frame decode or a metrics scan costs a fixed handful
@@ -25,7 +26,9 @@
 #include "interval/field.h"
 #include "interval/standard_profile.h"
 #include "merge/merger.h"
+#include "mpisim/mpi_runtime.h"
 #include "server/protocol.h"
+#include "sim/simulation.h"
 #include "slog/slog_codec.h"
 #include "slog/slog_reader.h"
 #include "stats/engine.h"
@@ -94,17 +97,21 @@ std::uint64_t allocationsOf(Fn&& fn) {
 
 constexpr std::size_t kFrameBytes = 2048;  // the golden run's frames
 
-PipelineResult goldenRun(std::uint32_t iterations) {
+SimulationConfig goldenProgram(std::uint32_t iterations) {
   TestProgramOptions workload;
   workload.iterations = iterations;
   workload.nodes = 4;
+  return testProgram(workload);
+}
+
+PipelineResult goldenRun(std::uint32_t iterations) {
   PipelineOptions options;
   options.dir = makeScratchDir("alloc_budget_" + std::to_string(iterations));
   options.name = "golden";
   options.convert.targetFrameBytes = kFrameBytes;
   options.merge.targetFrameBytes = kFrameBytes;
   options.slog.recordsPerFrame = 64;
-  return runPipeline(testProgram(workload), options);
+  return runPipeline(goldenProgram(iterations), options);
 }
 
 /// Allocations per unit of work at steady state: the extra allocations
@@ -149,6 +156,29 @@ TEST_F(AllocBudget, ConvertPerEvent) {
       marginal(convertAllocations(*golden_), convertAllocations(*long_),
                golden_->rawEvents, long_->rawEvents);
   EXPECT_LE(perEvent, 0.05);
+}
+
+TEST_F(AllocBudget, SimulationCutsRecordsWithoutAllocating) {
+  // The event queue keeps actions in a reused slab and every record's
+  // payload is built in a writer its cutter keeps, so the simulator's
+  // allocations do not grow with the events it runs.
+  const std::uint32_t iterations[2] = {30, 60};
+  std::uint64_t events[2] = {0, 0};
+  std::uint64_t allocations[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    SimulationConfig config = goldenProgram(iterations[i]);
+    config.trace.filePrefix =
+        makeScratchDir("alloc_budget_sim") + "/golden";
+    allocations[i] = allocationsOf([&] {
+      Simulation sim(std::move(config));
+      MpiRuntime mpi(sim);
+      sim.setMpiService(&mpi);
+      sim.run();
+      for (NodeId n = 0; n < 4; ++n) events[i] += sim.sessionStats(n).eventsCut;
+    });
+  }
+  EXPECT_LE(marginal(allocations[0], allocations[1], events[0], events[1]),
+            0.05);
 }
 
 TEST_F(AllocBudget, MergeWithoutSinkPerRecord) {

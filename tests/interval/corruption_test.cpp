@@ -108,13 +108,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IntervalCorruptionTest,
                          ::testing::Values(1, 2, 3, 4));
 
 TEST(RawTraceCorruption, FlipsAndTruncationsHandled) {
+  ByteWriter scratch;
   TraceOptions options;
   options.filePrefix = tempPath("corrupt_raw");
   {
     TraceSession session(options, 0, 2);
     for (int i = 0; i < 500; ++i) {
       session.cut(EventType::kUserMarker, kFlagBegin, 0, 0,
-                  static_cast<Tick>(i) * 10, payloadUserMarker(1, 0));
+                  static_cast<Tick>(i) * 10,
+                  payloadUserMarker(scratch, 1, 0));
     }
     session.close();
   }

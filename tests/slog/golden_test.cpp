@@ -19,6 +19,8 @@
 #include "slog/slog_reader.h"
 #include "slog/slog_writer.h"
 #include "support/file_io.h"
+#include "workloads/pipeline.h"
+#include "workloads/workloads.h"
 
 #include <unistd.h>
 
@@ -207,6 +209,48 @@ TEST(SlogGolden, DecoderReadsGoldenFileExactly) {
   EXPECT_EQ(marker.stateId, kMarkerStateBase + 3);
   EXPECT_EQ(marker.start, 0u);
   EXPECT_EQ(marker.node, 0);
+}
+
+// No v1 file is checked in, so the row encoder is pinned through the
+// golden 4-node pipeline run: its v1 SLOG, as an FNV-1a checksum
+// recorded before the row writers switched from per-byte appends to
+// one store per row. The v2 file of the same run rides along.
+// Regenerate (only with an intentional, versioned format change):
+//   UTE_REGEN_GOLDEN=1 ./slog_tests --gtest_filter='SlogGolden.*Pipeline*'
+std::uint64_t goldenRunSlogChecksum(std::uint32_t formatVersion) {
+  TestProgramOptions workload;
+  workload.iterations = 30;
+  workload.nodes = 4;
+  PipelineOptions options;
+  options.dir =
+      makeScratchDir("slog_golden_v" + std::to_string(formatVersion));
+  options.name = "golden";
+  options.convert.targetFrameBytes = 2048;
+  options.merge.targetFrameBytes = 2048;
+  options.slog.recordsPerFrame = 64;
+  options.slog.formatVersion = formatVersion;
+  const PipelineResult run = runPipeline(testProgram(workload), options);
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : readWholeFile(run.slogFile)) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(SlogGolden, PipelineRunSlogBytesArePinned) {
+  const std::uint64_t v1 = goldenRunSlogChecksum(1);
+  const std::uint64_t v2 = goldenRunSlogChecksum(2);
+  if (std::getenv("UTE_REGEN_GOLDEN") != nullptr) {
+    std::printf("v1 %lluull\nv2 %lluull\n",
+                static_cast<unsigned long long>(v1),
+                static_cast<unsigned long long>(v2));
+    GTEST_SKIP() << "regeneration run — update the pinned constants";
+  }
+  EXPECT_EQ(v1, 11690876041313163702ull)
+      << "v1 (row) SLOG of the golden run drifted";
+  EXPECT_EQ(v2, 3263855621150268134ull)
+      << "v2 (columnar) SLOG of the golden run drifted";
 }
 
 }  // namespace

@@ -25,13 +25,14 @@ TraceOptions optionsFor(const std::string& name) {
 }
 
 TEST(TraceRoundTrip, BasicEventsSurvive) {
+  ByteWriter scratch;
   const TraceOptions options = optionsFor("trace_rt_basic");
   {
     TraceSession session(options, /*node=*/3, /*cpuCount=*/4);
     session.cut(EventType::kThreadDispatch, 0, 1, 5, 1000,
-                payloadThreadDispatch(-1, 5));
+                payloadThreadDispatch(scratch, -1, 5));
     session.cut(EventType::kMpiSend, kFlagBegin, 1, 5, 2000,
-                payloadMpiSend(2, 17, 4096, 9, 0));
+                payloadMpiSend(scratch, 2, 17, 4096, 9, 0));
     session.cut(EventType::kMpiSend, kFlagEnd, 1, 5, 2500, ByteWriter{});
     session.close();
   }
@@ -68,6 +69,7 @@ TEST(TraceRoundTrip, BasicEventsSurvive) {
 }
 
 TEST(TraceRoundTrip, TimestampWrapReconstructs64Bits) {
+  ByteWriter scratch;
   // Timestamps straddling several 2^32 ns (~4.29 s) boundaries: the
   // on-disk word is 32 bits, wrap records restore the full value.
   const TraceOptions options = optionsFor("trace_rt_wrap");
@@ -78,7 +80,7 @@ TEST(TraceRoundTrip, TimestampWrapReconstructs64Bits) {
     TraceSession session(options, 0, 1);
     for (Tick ts : stamps) {
       session.cut(EventType::kUserMarker, kFlagBegin, 0, 0, ts,
-                  payloadUserMarker(1, 0));
+                  payloadUserMarker(scratch, 1, 0));
     }
     EXPECT_GE(session.stats().wrapRecords, 2u);
     session.close();
@@ -94,12 +96,13 @@ TEST(TraceRoundTrip, TimestampWrapReconstructs64Bits) {
 }
 
 TEST(TraceRoundTrip, ExtendedPayloadLength) {
+  ByteWriter scratch;
   const TraceOptions options = optionsFor("trace_rt_extended");
   const std::string longName(1000, 'm');
   {
     TraceSession session(options, 0, 1);
     session.cut(EventType::kMarkerDef, 0, 0, 0, 10,
-                payloadMarkerDef(42, longName));
+                payloadMarkerDef(scratch, 42, longName));
     session.close();
   }
   TraceFileReader reader(TraceSession::traceFilePath(options.filePrefix, 0));
@@ -113,26 +116,30 @@ TEST(TraceRoundTrip, ExtendedPayloadLength) {
 }
 
 TEST(TraceSession, NonMonotonicTimestampRejected) {
+  ByteWriter scratch;
   const TraceOptions options = optionsFor("trace_rt_monotonic");
   TraceSession session(options, 0, 1);
   session.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 100,
-              payloadUserMarker(1, 0));
+              payloadUserMarker(scratch, 1, 0));
   EXPECT_THROW(session.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 99,
-                           payloadUserMarker(1, 0)),
+                           payloadUserMarker(scratch, 1, 0)),
                UsageError);
 }
 
 TEST(TraceSession, ClassMaskSuppressesEvents) {
+  ByteWriter scratch;
   TraceOptions options = optionsFor("trace_rt_mask");
   options.enabledClasses = TraceOptions::classBit(EventClass::kMpi);
   {
     TraceSession session(options, 0, 1);
+    // Dispatch class: suppressed.
     session.cut(EventType::kThreadDispatch, 0, 0, 0, 10,
-                payloadThreadDispatch(-1, 0));  // dispatch class: suppressed
+                payloadThreadDispatch(scratch, -1, 0));
     session.cut(EventType::kMpiSend, kFlagBegin, 0, 0, 20,
-                payloadMpiSend(1, 0, 8, 1, 0));  // MPI class: kept
+                payloadMpiSend(scratch, 1, 0, 8, 1, 0));  // MPI class: kept
+    // Clock class: suppressed.
     session.cut(EventType::kGlobalClock, 0, 0, 0, 30,
-                payloadGlobalClock(30, 30));  // clock class: suppressed
+                payloadGlobalClock(scratch, 30, 30));
     EXPECT_EQ(session.stats().eventsSuppressed, 2u);
     session.close();
   }
@@ -145,18 +152,19 @@ TEST(TraceSession, ClassMaskSuppressesEvents) {
 }
 
 TEST(TraceSession, DelayedStartTracesOnlyASection) {
+  ByteWriter scratch;
   TraceOptions options = optionsFor("trace_rt_delayed");
   options.startEnabled = false;  // Section 2.1: delay trace generation
   {
     TraceSession session(options, 0, 1);
     session.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 10,
-                payloadUserMarker(1, 0));  // before traceOn: dropped
+                payloadUserMarker(scratch, 1, 0));  // before traceOn: dropped
     session.traceOn();
     session.cut(EventType::kUserMarker, kFlagEnd, 0, 0, 20,
-                payloadUserMarker(1, 0));
+                payloadUserMarker(scratch, 1, 0));
     session.traceOff();
     session.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 30,
-                payloadUserMarker(2, 0));  // after traceOff: dropped
+                payloadUserMarker(scratch, 2, 0));  // after traceOff: dropped
     session.close();
   }
   TraceFileReader reader(TraceSession::traceFilePath(options.filePrefix, 0));
@@ -168,13 +176,14 @@ TEST(TraceSession, DelayedStartTracesOnlyASection) {
 }
 
 TEST(TraceSession, BufferFlushesWhenFull) {
+  ByteWriter scratch;
   TraceOptions options = optionsFor("trace_rt_flush");
   options.bufferSizeBytes = 4096;  // minimum
   {
     TraceSession session(options, 0, 1);
     for (int i = 0; i < 2000; ++i) {
       session.cut(EventType::kUserMarker, kFlagBegin, 0, 0,
-                  static_cast<Tick>(i), payloadUserMarker(1, 0));
+                  static_cast<Tick>(i), payloadUserMarker(scratch, 1, 0));
     }
     EXPECT_GT(session.stats().bufferFlushes, 5u);
     session.close();
@@ -186,10 +195,11 @@ TEST(TraceSession, BufferFlushesWhenFull) {
 }
 
 TEST(TraceSession, StatsCountEventsAndBytes) {
+  ByteWriter scratch;
   const TraceOptions options = optionsFor("trace_rt_stats");
   TraceSession session(options, 0, 2);
   session.cut(EventType::kUserMarker, kFlagBegin, 0, 0, 5,
-              payloadUserMarker(3, 0xabc));
+              payloadUserMarker(scratch, 3, 0xabc));
   const TraceSessionStats& s = session.stats();
   EXPECT_EQ(s.eventsCut, 2u);  // NodeInfo + marker
   EXPECT_EQ(s.eventsSuppressed, 0u);
