@@ -13,8 +13,8 @@
 #include "analysis/metrics.h"
 #include "bench_util.h"
 #include "slog/slog_reader.h"
+#include "support/parallel_for.h"
 #include "support/text.h"
-#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace {

@@ -9,12 +9,14 @@
 // A parallel-pipeline sweep (--jobs {1,2,4,8} by default, or {1,N} when
 // run with --jobs N) reports per-stage speedup and records/s and writes
 // BENCH_pipeline.json; each parallel run is byte-compared against the
-// sequential reference before its numbers are reported.
+// sequential reference before its numbers are reported, and the bench
+// exits 1 when any output differs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,6 +30,11 @@
 #include "slog/slog_writer.h"
 #include "support/text.h"
 #include "workloads/workloads.h"
+
+// The CMake build type BENCH_pipeline.json records (bench/CMakeLists.txt).
+#ifndef UTE_BUILD_TYPE
+#define UTE_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -138,8 +145,9 @@ struct SweepPoint {
 };
 
 /// Runs convert+slogmerge at each job count on one 4-node workload and
-/// verifies the parallel outputs byte-match the sequential reference.
-void printPipelineSweep(const std::vector<int>& jobsList) {
+/// verifies the parallel outputs byte-match the sequential reference;
+/// false when any of them differs.
+bool printPipelineSweep(const std::vector<int>& jobsList) {
   std::printf("=== Parallel pipeline sweep: test program on 4 nodes ===\n");
   TestProgramOptions workload;
   workload.iterations = testProgramIterationsFor(
@@ -200,13 +208,18 @@ void printPipelineSweep(const std::vector<int>& jobsList) {
   }
   std::printf("\n");
 
+  bool identical = true;
+  for (const SweepPoint& p : points) identical = identical && p.identical;
+
   std::FILE* json = std::fopen("BENCH_pipeline.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_pipeline.json\n");
-    return;
+    return identical;
   }
   std::fprintf(json, "{\n  \"workload\": \"test program, 4 nodes\",\n"
+               "  \"nproc\": %u,\n  \"build_type\": \"%s\",\n"
                "  \"records\": %llu,\n  \"points\": [\n",
+               std::thread::hardware_concurrency(), UTE_BUILD_TYPE,
                static_cast<unsigned long long>(points.front().records));
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
@@ -224,6 +237,7 @@ void printPipelineSweep(const std::vector<int>& jobsList) {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_pipeline.json\n\n");
+  return identical;
 }
 
 void BM_ConvertPerEvent(benchmark::State& state) {
@@ -272,6 +286,9 @@ int main(int argc, char** argv) {
 
   gScratch = ute::makeScratchDir("bench_table1");
   printTable1();
-  printPipelineSweep(jobsList);
+  if (!printPipelineSweep(jobsList)) {
+    std::fprintf(stderr, "a --jobs N output differs from --jobs 1\n");
+    return 1;
+  }
   return ute::benchutil::runBenchmarks(newArgc, args.data());
 }

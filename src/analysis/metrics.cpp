@@ -8,7 +8,7 @@
 #include "slog/kernels.h"
 #include "support/errors.h"
 #include "support/file_io.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 #include "trace/events.h"
 
 namespace ute {
@@ -454,8 +454,8 @@ MetricsStore computeMetrics(const SlogReader& reader,
   // exclusively until parallelFor's join, and the addFrom merge below
   // runs single-threaded after it — there is no guarded state for the
   // thread-safety analysis to check (docs/STATIC_ANALYSIS.md), which is
-  // exactly the point. The only synchronization is the pool's own
-  // annotated Channel/Mutex machinery.
+  // exactly the point. The only synchronization is parallelFor's own
+  // index counter and join.
   std::vector<MetricsStore> partial(jobs);
   parallelFor(jobs, jobs, [&](std::size_t c) {
     partial[c] = makeMetricsStore(reader, options);

@@ -6,7 +6,7 @@
 #include "convert/streaming_converter.h"
 #include "interval/record.h"
 #include "support/errors.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 namespace ute {
 

@@ -89,8 +89,9 @@ class EventToIntervalConverter {
 
 /// Converts every raw file of a run ("<prefix>.<node>.utr"), producing
 /// "<outPrefix>.<node>.uti" files with a shared marker unification.
-/// With options.jobs != 1 the per-node conversions run on a thread pool
-/// after a marker pre-scan; the outputs are byte-identical to jobs == 1.
+/// With options.jobs != 1 the per-node conversions run on up to
+/// options.jobs threads after a marker pre-scan; the outputs are
+/// byte-identical to jobs == 1.
 std::vector<ConvertResult> convertRun(const std::vector<std::string>& rawPaths,
                                       const std::string& outPrefix,
                                       ConvertOptions options = {});

@@ -121,11 +121,6 @@ void ByteSource::advise(MappedFile::Hint hint) const {
   if (map_ != nullptr) map_->advise(hint);
 }
 
-void ByteSource::advise(std::uint64_t offset, std::uint64_t length,
-                        MappedFile::Hint hint) const {
-  if (map_ != nullptr) map_->advise(offset, length, hint);
-}
-
 BufferPool::Stats ByteSource::poolStats() const {
   return pool_ != nullptr ? pool_->stats() : BufferPool::Stats{};
 }

@@ -122,8 +122,6 @@ class ByteSource {
 
   /// Page-cache advice; a no-op on the stdio path.
   void advise(MappedFile::Hint hint) const;
-  void advise(std::uint64_t offset, std::uint64_t length,
-              MappedFile::Hint hint) const;
 
   /// Buffer-reuse counters of the fallback path (zeros when mapped).
   BufferPool::Stats poolStats() const;

@@ -1,18 +1,17 @@
 // Pipeline concurrency stress (run under -DUTE_SANITIZE=thread via
-// `ctest -L stress`): hammers the Channel and ThreadPool primitives,
-// races several prefetching readers over one file, and repeats the
-// parallel convert+merge pipeline checking every run is byte-identical
-// to the sequential golden output.
+// `ctest -L stress`): hammers the Channel and the fork-join parallelFor,
+// and repeats the parallel convert+merge pipeline checking every run is
+// byte-identical to the sequential golden output.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "interval/frame_prefetcher.h"
 #include "support/channel.h"
 #include "support/file_io.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 #include "workloads/pipeline.h"
 #include "workloads/workloads.h"
 
@@ -53,51 +52,32 @@ TEST(PipelineStress, ChannelHammer) {
   }
 }
 
-TEST(PipelineStress, ThreadPoolSubmitStorm) {
-  ThreadPool pool(4, /*queueCapacity=*/2);  // tiny queue: backpressure
-  std::atomic<int> ran{0};
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    pool.wait();
-  }
-  EXPECT_EQ(ran.load(), 20 * 200);
-  std::atomic<long> sum{0};
-  pool.parallelFor(5000, [&sum](std::size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 5000L * 4999 / 2);
-}
+TEST(PipelineStress, ParallelForStorm) {
+  // Many tiny indices over repeated rounds, one of them throwing per
+  // round: every call must join all its threads, rethrow that one
+  // exception and leave nothing running into the next round.
+  constexpr std::size_t kIndices = 2000;
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t throwAt = (static_cast<std::size_t>(round) * 37) %
+                                kIndices;
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(parallelFor(4, kIndices,
+                             [&](std::size_t i) {
+                               if (i == throwAt) {
+                                 throw std::runtime_error("round failure");
+                               }
+                               ran.fetch_add(1);
+                             }),
+                 std::runtime_error);
+    EXPECT_LT(ran.load(), kIndices);
 
-TEST(PipelineStress, ConcurrentPrefetchReadersAgree) {
-  TestProgramOptions workload;
-  workload.iterations = 20;
-  PipelineOptions options;
-  options.dir = makeScratchDir("stress_prefetch");
-  options.name = "sp";
-  options.writeSlog = false;
-  options.convert.targetFrameBytes = 2048;
-  const PipelineResult run = runPipeline(testProgram(workload), options);
-  ASSERT_FALSE(run.intervalFiles.empty());
-  const std::string path = run.intervalFiles.front();
-
-  std::vector<std::thread> readers;
-  std::vector<std::uint64_t> counts(6, 0);
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    readers.emplace_back([r, &path, &counts] {
-      PrefetchRecordStream stream(path, /*depth=*/2);
-      RecordView view;
-      std::uint64_t n = 0;
-      while (stream.next(view)) ++n;
-      counts[r] = n;
+    std::atomic<long> roundSum{0};
+    parallelFor(4, kIndices, [&roundSum](std::size_t i) {
+      roundSum.fetch_add(static_cast<long>(i));
     });
+    EXPECT_EQ(roundSum.load(),
+              static_cast<long>(kIndices) * (kIndices - 1) / 2);
   }
-  for (auto& t : readers) t.join();
-  for (std::size_t r = 1; r < counts.size(); ++r) {
-    EXPECT_EQ(counts[r], counts[0]);
-  }
-  EXPECT_GT(counts[0], 0u);
 }
 
 TEST(PipelineStress, RepeatedParallelRunsMatchGolden) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "interval/file_reader.h"
 #include "interval/file_writer.h"
 #include "interval/standard_profile.h"
+#include "support/errors.h"
+#include "support/file_io.h"
 #include "support/rng.h"
 
 #include <unistd.h>
@@ -129,6 +132,119 @@ TEST(IntervalFile, ManyRecordsAcrossDirectoriesStreamBack) {
     ++count;
   }
   EXPECT_EQ(count, n);
+}
+
+/// Writes `n` running pieces, 10 ticks apart, with 1 KiB frames and
+/// `framesPerDirectory` frames per directory; returns the path.
+std::string writeRunningFile(const std::string& name, int n,
+                             int framesPerDirectory) {
+  const std::string path = tempPath(name);
+  IntervalFileOptions options = smallFrames();
+  options.framesPerDirectory = framesPerDirectory;
+  IntervalFileWriter w(path, options, sampleThreads());
+  for (int i = 0; i < n; ++i) {
+    w.addRecord(runningPiece(static_cast<Tick>(i) * 10, 8, i % 2).view());
+  }
+  w.close();
+  return path;
+}
+
+/// The record stream must hand back exactly the bodies writeRunningFile
+/// wrote, byte for byte the records a frame-by-frame walk of the
+/// directory chain splits out.
+void expectStreamMatchesFrames(const std::string& path, int n) {
+  IntervalFileReader reader(path);
+  std::vector<std::vector<std::uint8_t>> framed;
+  for (FrameDirectory dir = reader.firstDirectory(); !dir.frames.empty();
+       dir = reader.readDirectory(dir.nextOffset)) {
+    for (const FrameInfo& f : dir.frames) {
+      const FrameBuf frame = reader.readFrame(f);
+      ByteReader r = frame.reader();
+      for (std::uint32_t i = 0; i < f.records; ++i) {
+        const auto body = readLengthPrefixedRecord(r);
+        framed.emplace_back(body.begin(), body.end());
+      }
+      EXPECT_TRUE(r.atEnd()) << "frame at " << f.offset;
+    }
+    if (dir.nextOffset == 0) break;
+  }
+  ASSERT_EQ(framed.size(), static_cast<std::size_t>(n));
+
+  auto stream = reader.records();
+  RecordView view;
+  std::size_t count = 0;
+  while (stream.next(view)) {
+    ASSERT_LT(count, framed.size());
+    const ByteWriter written = runningPiece(
+        static_cast<Tick>(count) * 10, 8,
+        static_cast<LogicalThreadId>(count % 2));
+    EXPECT_TRUE(std::ranges::equal(view.body, framed[count]))
+        << "record " << count << " differs from its frame";
+    EXPECT_TRUE(std::ranges::equal(view.body, written.view()))
+        << "record " << count << " differs from what was written";
+    ++count;
+  }
+  EXPECT_EQ(count, framed.size());
+}
+
+TEST(IntervalFile, StreamMatchesFramesAcrossDirectories) {
+  // framesPerDirectory=4 forces several chained directories; the stream
+  // must cross every directory boundary without losing a record.
+  const std::string path = writeRunningFile("ifile_multi.uti", 2000, 4);
+  IntervalFileReader reader(path);
+  EXPECT_EQ(reader.countRecordsViaDirectories(), 2000u);
+  expectStreamMatchesFrames(path, 2000);
+}
+
+TEST(IntervalFile, OversizedDirectoryUsesTailRead) {
+  // 100 frames per directory exceed 64 entries, the size of a default
+  // directory. Regression test for readDirectory's bulk entry read: the
+  // chain walk, record counts and the stream must agree.
+  const std::string path = writeRunningFile("ifile_tail.uti", 4000, 100);
+  IntervalFileReader reader(path);
+  bool sawOversized = false;
+  std::uint64_t frames = 0;
+  for (FrameDirectory dir = reader.firstDirectory(); !dir.frames.empty();
+       dir = reader.readDirectory(dir.nextOffset)) {
+    frames += dir.frames.size();
+    if (dir.frames.size() > 64) sawOversized = true;
+    if (dir.nextOffset == 0) break;
+  }
+  ASSERT_TRUE(sawOversized) << "test needs a directory with > 64 frames";
+  EXPECT_GT(frames, 100u);
+  EXPECT_EQ(reader.countRecordsViaDirectories(), 4000u);
+  expectStreamMatchesFrames(path, 4000);
+}
+
+TEST(IntervalFile, StreamRethrowsCorruptDirectoryMidChain) {
+  // Corrupt the second directory's size field: the stream hands back the
+  // first directory's records, then raises FormatError when it reaches
+  // the broken link.
+  const std::string path = writeRunningFile("ifile_corrupt.uti", 2000, 4);
+  std::uint64_t secondDir = 0;
+  std::uint64_t firstDirRecords = 0;
+  {
+    IntervalFileReader reader(path);
+    const FrameDirectory first = reader.firstDirectory();
+    secondDir = first.nextOffset;
+    for (const FrameInfo& f : first.frames) firstDirRecords += f.records;
+    ASSERT_NE(secondDir, 0u);
+  }
+  std::vector<std::uint8_t> bytes = readWholeFile(path);
+  ASSERT_GT(bytes.size(), secondDir + 4);
+  for (int i = 0; i < 4; ++i) bytes[secondDir + i] = 0xff;
+  writeWholeFile(path, std::span<const std::uint8_t>(bytes));
+
+  IntervalFileReader reader(path);
+  auto stream = reader.records();
+  RecordView view;
+  std::uint64_t count = 0;
+  EXPECT_THROW(
+      {
+        while (stream.next(view)) ++count;
+      },
+      FormatError);
+  EXPECT_EQ(count, firstDirRecords);
 }
 
 TEST(IntervalFile, FrameContainingLocatesByTime) {

@@ -1,19 +1,21 @@
-// Tests for the batch-parallelism primitives: the bounded MPMC Channel
-// (FIFO, blocking, close semantics) and the ThreadPool (submit/wait,
-// parallelFor, exception propagation, backpressure).
+// Tests for the concurrency primitives in src/support: the bounded MPMC
+// Channel (FIFO, blocking, close semantics) and the fork-join
+// parallelFor (coverage, thread count, exception propagation, inline
+// reference path).
 #include "support/channel.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "support/errors.h"
+#include "support/thread_annotations.h"
 
 namespace ute {
 namespace {
@@ -109,52 +111,50 @@ TEST(Channel, ManyProducersManyConsumersDeliverEverythingOnce) {
   EXPECT_EQ(sum.load(), static_cast<long>(kTotal) * (kTotal - 1) / 2);
 }
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(ran.load(), 100);
-  // The pool is reusable after wait().
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 101);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), UsageError);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallelFor(kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  parallelFor(4, kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, ParallelForPropagatesFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallelFor(16,
-                                [](std::size_t i) {
-                                  if (i == 7) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                }),
-               std::runtime_error);
-  // The pool survives a failed parallelFor.
-  std::atomic<int> ran{0};
-  pool.parallelFor(8, [&ran](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
+TEST(ParallelFor, UsesAtMostJobsThreads) {
+  Mutex mu;
+  std::set<std::thread::id> seen;
+  parallelFor(3, 200, [&](std::size_t) {
+    MutexLock lock(mu);
+    seen.insert(std::this_thread::get_id());
+  });
+  MutexLock lock(mu);
+  EXPECT_GE(seen.size(), 1u);
+  EXPECT_LE(seen.size(), 3u);
 }
 
-TEST(ThreadPool, FreeParallelForRunsInlineForOneJob) {
-  // jobs <= 1 must execute on the calling thread, in index order — this
-  // is the sequential reference mode the determinism tests compare to.
+TEST(ParallelFor, PropagatesFirstExceptionAndSkipsTheRest) {
+  // Index 0 throws at once; every other index takes a millisecond, so
+  // running them all would take a quarter of a second. Once the throw
+  // lands, no thread claims another index.
+  constexpr std::size_t kN = 256;
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(parallelFor(2, kN,
+                           [&ran](std::size_t i) {
+                             if (i == 0) throw std::runtime_error("boom");
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                             ran.fetch_add(1);
+                           }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), kN - 1);
+  // A failed call leaves nothing behind for the next one.
+  std::atomic<int> after{0};
+  parallelFor(2, 8, [&after](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(ParallelFor, RunsInlineForOneJob) {
+  // jobs <= 1 (or n <= 1) must execute on the calling thread, in index
+  // order — this is the sequential reference mode the determinism tests
+  // compare to.
   const auto self = std::this_thread::get_id();
   std::vector<std::size_t> order;
   parallelFor(1, 5, [&](std::size_t i) {
@@ -162,13 +162,18 @@ TEST(ThreadPool, FreeParallelForRunsInlineForOneJob) {
     order.push_back(i);
   });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  parallelFor(8, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), self);
+    EXPECT_EQ(i, 0u);
+  });
+  parallelFor(4, 0, [](std::size_t) { FAIL() << "no index to run"; });
 
   std::atomic<int> ran{0};
   parallelFor(4, 32, [&ran](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, EffectiveJobsMapsNonPositiveToHardware) {
+TEST(ParallelFor, EffectiveJobsMapsNonPositiveToHardware) {
   EXPECT_EQ(effectiveJobs(1), 1u);
   EXPECT_EQ(effectiveJobs(7), 7u);
   EXPECT_GE(effectiveJobs(0), 1u);

@@ -49,6 +49,17 @@ TEST(UtecheckBlocking, BadFixtureFlagsWaitOnReactorPath) {
   EXPECT_NE(findings[0].message.find("CondVar::wait"), std::string::npos);
 }
 
+TEST(UtecheckBlocking, BadFixtureFlagsThreadJoinOnReactorPath) {
+  // A fork-join such as parallelFor reached from a reactor callback is
+  // caught by its join.
+  const auto findings = checkFixture("blocking_join_bad.cpp");
+  ASSERT_EQ(findings.size(), 1u) << describe(findings);
+  EXPECT_EQ(findings[0].rule, "blocking");
+  EXPECT_EQ(findings[0].line, 23);  // the t.join() call in fanOut
+  EXPECT_NE(findings[0].message.find("onRequest"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("join"), std::string::npos);
+}
+
 TEST(UtecheckBlocking, GoodFixtureDeferralAndSuppressionAreClean) {
   const auto findings = checkFixture("blocking_good.cpp");
   EXPECT_TRUE(findings.empty()) << describe(findings);

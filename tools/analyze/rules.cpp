@@ -60,8 +60,6 @@ std::string blockingSinkDesc(const BodyEvent& ev) {
   static const std::vector<Method> kMethods = {
       {"CondVar", "wait"},        {"CondVar", "waitFor"},
       {"Channel", "send"},        {"Channel", "receive"},
-      {"ThreadPool", "submit"},   {"ThreadPool", "wait"},
-      {"ThreadPool", "parallelFor"}, {"ThreadPool", "shutdown"},
       {"WorkerPool", "shutdown"}, {"ByteBudget", "acquire"},
       {"TcpSocket", "connectTo"}, {"TcpSocket", "sendAll"},
       {"TcpSocket", "recvAll"},   {"TcpListener", "accept"},
@@ -114,7 +112,7 @@ bool isReactorEntry(const Project& p, const FunctionDef& f) {
 std::vector<std::string> ruleList() {
   return {
       "blocking — no blocking primitive (CondVar wait, Channel send/receive, "
-      "ThreadPool submit, file I/O, socket connect/accept) reachable from a "
+      "thread join, file I/O, socket connect/accept) reachable from a "
       "reactor entry point",
       "invalidate — no use of a pointer/reference/iterator obtained from a "
       "member container after an intervening call that may erase/clear it "

@@ -5,7 +5,7 @@
 //   utemerge --out MERGED.uti [--slog OUT.slog] [--profile profile.ute]
 //            [--method rms|last|piecewise] [--naive] [--keep-clock]
 //            [--threads mpi,user,system]   (categories to merge, §2.3.3)
-//            [--jobs N]   (parallel clock fits + prefetching inputs;
+//            [--jobs N]   (pass-1 clock scans on N threads;
 //                          output byte-identical to --jobs 1)
 //            [--slog-v1 | --slog-v2]   (SLOG frame encoding; default v2
 //                                       compressed columnar, docs/FORMAT.md)
